@@ -22,7 +22,6 @@ from .errors import TensorFileError, ValidationError
 
 MAGIC = b"NTF1"
 _CODE_TO_DTYPE = {1: np.dtype("<u1"), 2: np.dtype("<f4"), 3: np.dtype("<f8")}
-_KIND_TO_CODE = {"u": 1, "b": 1, "f": None}  # float code depends on itemsize
 MAX_NDIM = 4  # up to 3 spatial axes plus one class axis
 
 

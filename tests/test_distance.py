@@ -69,6 +69,36 @@ class TestEdtAgainstBruteForce:
             )
 
 
+class TestEdtBlockEdges:
+    # Shapes that reach the edges of the blocked minimum: a ragged last row
+    # block (37 rows of a 100-long axis: 26 + 11), a ragged gap-table chunk
+    # (a 600-long axis: 436 + 164 gap rows, one row per block), a long
+    # first-axis scan, and ragged row blocks on both later axes of a 3D grid.
+    @pytest.mark.parametrize(
+        "shape", [(100, 37), (37, 100), (600, 3), (3, 600), (70, 70, 9)]
+    )
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    def test_matches_brute_force(self, shape, anisotropic):
+        rng = np.random.default_rng(sum(shape))
+        m = np.zeros(shape, bool)
+        m.flat[rng.choice(m.size, size=8, replace=False)] = True
+        m.flat[0] = True
+        sp = rng.uniform(0.5, 3.0, size=m.ndim) if anisotropic else None
+        np.testing.assert_allclose(edt(m, sp), edt_bruteforce(m, sp), atol=1e-9)
+
+
+class TestEdtAgainstScipy:
+    @pytest.mark.parametrize("shape", [(256, 256), (64, 64, 64)])
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    def test_matches_scipy(self, shape, anisotropic):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(len(shape))
+        m = rng.random(shape) < 0.02
+        sp = tuple(rng.uniform(0.5, 3.0, size=m.ndim)) if anisotropic else None
+        expected = ndimage.distance_transform_edt(~m, sampling=sp)
+        np.testing.assert_allclose(edt(m, sp), expected, atol=1e-9)
+
+
 class TestEdtInvariants:
     @given(masks_1d)
     @settings(max_examples=60, deadline=None)
