@@ -63,12 +63,11 @@ def _load_run_config(path) -> tuple[LossConfig, list[float] | None, dict]:
     cfg = LossConfig(**kwargs)
     spacing = data.get("spacing")
     if spacing is not None:
-        if not isinstance(spacing, list) or not spacing:
+        if not isinstance(spacing, list) or not spacing or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in spacing
+        ):
             raise ValidationError(f"{path}: spacing must be a non-empty list of numbers")
-        try:
-            spacing = [float(x) for x in spacing]
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}: spacing must be a list of numbers") from None
+        spacing = [float(x) for x in spacing]
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError(f"{path}: params must be an object keyed by loss name")

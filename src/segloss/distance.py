@@ -5,13 +5,17 @@
 Meijster et al. 2000; anisotropic spacing supported). On axis 0, forward
 and backward scans of the nearest source index give the squared distance
 along that axis directly. Every later axis takes the minimum over p of
-(pos[q] - pos[p])^2 + d2[.., p] for all rows at once: a squared-gap table
-broadcast against blocks of rows into one reused buffer. That costs
-O(N * n) per axis of length n, and the buffer and the gap-table chunk
-each hold at most max(2^18, n) float64 values (2 MiB on any axis up to
-2^18 long), whatever the grid size. ``edt_bruteforce`` is the
-independent O(N * |sources|) reference used to cross-check it; the two
-are deliberately kept as separate code paths.
+(pos[q] - pos[p])^2 + d2[.., p] for all rows at once, in tiles of up to 64
+query positions. A block of rows only considers the candidates within
+reach of a tile, a distance bounded by the block's own entries there, and
+every candidate it skips would lose, so the result is the same float as
+the full minimum. An axis pass of N values costs O(N * min(n, 64 + 2w))
+on an axis of length n, where w is the reach in pixels, about the
+distance from a tile to the sources its block needs. The buffer and the
+gap table each hold at most 2^18 float64 values (2 MiB), whatever the
+grid size. ``edt_bruteforce`` is the independent O(N * |sources|)
+reference used to cross-check it; the two are deliberately kept as
+separate code paths.
 
 Distances are measured between pixel centers. A degenerate request
 (no source pixels) yields the grid's sentinel distance everywhere: the
@@ -47,7 +51,13 @@ def as_spacing(spacing, ndim: int) -> tuple[float, ...]:
     """Normalize a spacing argument to a tuple of positive floats."""
     if spacing is None:
         return (1.0,) * ndim
-    sp = tuple(float(x) for x in np.atleast_1d(spacing))
+    try:
+        arr = np.atleast_1d(np.asarray(spacing))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"spacing must be a number or a flat list of numbers: {spacing!r}")
+    sp = tuple(float(x) for x in arr)
     if len(sp) != ndim:
         raise ValidationError(f"spacing has {len(sp)} entries for a rank-{ndim} grid")
     if any(not np.isfinite(x) or x <= 0 for x in sp):
@@ -61,11 +71,18 @@ def sentinel_value(shape: tuple[int, ...], spacing=None) -> float:
     return float(sum(n * s for n, s in zip(shape, sp)))
 
 
-# Cap on the float64 values one broadcast block holds (2 MiB). The blocked
-# minimum reuses one buffer of this size per axis. Transforming a 64^3 mask
-# and its complement raised peak RSS by 2.6 MiB at this cap and by 35 MiB at
-# a 16x larger one, against a peak near 56 MiB for a whole CLI dt run.
+# Cap on the float64 values one broadcast block holds (2 MiB), and on one
+# gap-table chunk. Each later-axis pass reuses one buffer of this size.
+# Transforming a 64^3 ellipsoid mask and its complement (mask loaded from
+# disk, no other work) raised peak RSS by 11.2 MiB at this cap, most of it
+# the 2 MiB grid-sized arrays of each pass, and by 39.4 MiB at a 16x larger
+# cap, against a peak near 56 MiB for a whole CLI dt run.
 _BLOCK_VALUES = 1 << 18
+
+# Query positions per tile in the later-axis passes. A wider tile shares
+# its candidate window among more queries but bounds its outputs more
+# loosely; 64 was no slower than 32 or 128 on 256^2 and 1024^2 masks.
+_TILE = 64
 
 
 def _scan_first_axis(src: np.ndarray, step: float) -> np.ndarray:
@@ -87,26 +104,88 @@ def _scan_first_axis(src: np.ndarray, step: float) -> np.ndarray:
 def _min_plus_axis(d2: np.ndarray, axis: int, step: float) -> np.ndarray:
     """out[.., q] = min_p (pos[q] - pos[p])^2 + d2[.., p] along one axis.
 
-    Rows are processed in blocks, broadcast against a chunk of the squared-gap
-    table into one reused buffer of at most _BLOCK_VALUES values (at least
-    one gap row); axes up to 512 long take the whole table in one chunk.
+    Entries of d2 are squared distances: non-negative or inf. Query
+    positions go in tiles of at most _TILE, rows in blocks. A block only
+    looks at the candidates p within reach of a tile (see _reach): every
+    candidate left out exceeds an upper bound on the block's outputs there,
+    so the minimum is the same float as over all p. Squared gaps are laid
+    out as (p, q) and reduced over p, the buffer's middle axis.
     """
-    moved = np.moveaxis(d2, axis, -1)
+    moved = d2.swapaxes(axis, -1)
     n = moved.shape[-1]
     rows = np.ascontiguousarray(moved).reshape(-1, n)
     out = np.empty_like(rows)
     pos = np.arange(n, dtype=np.float64) * step
-    q_chunk = max(1, min(n, _BLOCK_VALUES // n))
-    r_block = max(1, _BLOCK_VALUES // (q_chunk * n))
-    buf = np.empty((min(r_block, rows.shape[0]), q_chunk, n))
-    for q0 in range(0, n, q_chunk):
-        gap = (pos[q0:q0 + q_chunk, None] - pos) ** 2
-        for r0 in range(0, rows.shape[0], r_block):
-            block = rows[r0:r0 + r_block]
-            b = buf[:block.shape[0], :gap.shape[0]]
-            np.add(block[:, None, :], gap, out=b)
-            b.min(axis=-1, out=out[r0:r0 + r_block, q0:q0 + q_chunk])
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    width = min(n, _TILE)
+    r_block = max(1, _BLOCK_VALUES // (n * width))
+    p_chunk = _BLOCK_VALUES // (r_block * width)  # at least n unless n > 4096
+    buf = np.empty((min(r_block, rows.shape[0]), min(n, p_chunk), width))
+    starts = range(0, rows.shape[0], r_block)
+    tiles = range(0, n, width)
+    if width < n:
+        q0 = np.asarray(tiles)
+        reach = np.maximum.reduceat(_reach(rows, pos, q0), starts, axis=0) / step
+        # Candidates more than reach + 1 steps away are left out; the spare
+        # step covers rounding in pos and in the square root.
+        w = np.minimum(reach, n).astype(np.intp) + 1
+        lo = np.maximum(q0 - w, 0).T.tolist()
+        hi = np.minimum(q0 + width + w, n).T.tolist()
+    else:  # one tile spans the axis: nothing to prune
+        lo, hi = [[0] * len(starts)], [[n] * len(starts)]
+    for q0, t_lo, t_hi in zip(tiles, lo, hi):
+        q1 = min(n, q0 + width)
+        t0, t1 = min(t_lo), max(t_hi)
+        for c0 in range(t0, t1, p_chunk):  # one chunk unless n > 4096
+            c1 = min(t1, c0 + p_chunk)
+            gap = (pos[q0:q1] - pos[c0:c1, None]) ** 2
+            for r0, p0, p1 in zip(starts, t_lo, t_hi):
+                k0, k1 = max(p0, c0), min(p1, c1)
+                if k0 >= k1:
+                    continue
+                block = rows[r0:r0 + r_block, k0:k1, None]
+                b = buf[:block.shape[0], :k1 - k0, :q1 - q0]
+                np.add(block, gap[k0 - c0:k1 - c0], out=b)
+                dst = out[r0:r0 + r_block, q0:q1]
+                if k0 == p0:
+                    b.min(axis=1, out=dst)
+                else:
+                    np.minimum(dst, b.min(axis=1), out=dst)
+    return out.reshape(moved.shape).swapaxes(axis, -1)
+
+
+def _reach(rows: np.ndarray, pos: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Per row and tile, the distance beyond which no candidate can win.
+
+    Each output in a tile is at most the row's largest entry there (the
+    p = q candidate) and at most its smallest entry plus the squared tile
+    span. A row with no finite entry in a tile is bounded through its
+    nearest finite entry on either side instead; those scans are only run
+    when some tile needs them. A row with no finite entry at all is inf
+    everywhere, so any window gives it the same result: its reach is 0.
+    """
+    n = rows.shape[1]
+    ends = np.append(tiles[1:], n)
+    span = (pos[ends - 1] - pos[tiles]) ** 2
+    low = np.minimum.reduceat(rows, tiles, axis=1)
+    bound = np.minimum(np.maximum.reduceat(rows, tiles, axis=1), low + span)
+    empty = np.isinf(low)
+    if empty.any():
+        idx = np.arange(n)
+        finite = np.isfinite(rows)
+        before = np.maximum.accumulate(np.where(finite, idx, -1), axis=1)
+        after = np.minimum.accumulate(np.where(finite, idx, n)[:, ::-1], axis=1)[:, ::-1]
+        edge = np.ones((rows.shape[0], 1), np.intp)
+        left = np.hstack([-edge, before[:, tiles[1:] - 1]])
+        right = np.hstack([after[:, ends[:-1]], n * edge])
+        # Index -1 and index n read inf positions, so whichever entry is read
+        # there, that side's bound is inf.
+        ext = np.append(pos, np.inf)
+        via_left = np.take_along_axis(rows, left, axis=1) + (pos[ends - 1] - ext[left]) ** 2
+        via_right = np.take_along_axis(rows, np.minimum(right, n - 1), axis=1)
+        via = np.minimum(via_left, via_right + (ext[right] - pos[tiles]) ** 2)
+        bound = np.where(empty, via, bound)
+        bound[np.isinf(bound)] = 0.0
+    return np.sqrt(bound)
 
 
 def edt(source: np.ndarray, spacing=None) -> np.ndarray:

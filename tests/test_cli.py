@@ -88,6 +88,19 @@ class TestEval:
                        "--config", bad) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, loss",
+        [('{"spacing": [1, true]}', "ce"), ('{"spacing": [true]}', "boundary"),
+         ('{"spacing": ["1"]}', "boundary")],
+    )
+    def test_non_number_spacing_rejected(self, fixture_files, tmp_path, capsys, config, loss):
+        gt, pred, _ = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(config)
+        assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", loss,
+                       "--config", bad) == 2
+        assert "spacing must be a non-empty list of numbers" in capsys.readouterr().err
+
     def test_unknown_loss_param_rejected(self, fixture_files, tmp_path, capsys):
         gt, pred, _ = fixture_files
         bad = tmp_path / "bad.json"

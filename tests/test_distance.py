@@ -16,6 +16,7 @@ from segloss import (
     sentinel_value,
     unsigned_boundary_distance,
 )
+from segloss.distance import _min_plus_axis, as_spacing
 
 masks_1d = hnp.arrays(bool, st.integers(1, 24))
 masks_2d = hnp.arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10)))
@@ -70,10 +71,11 @@ class TestEdtAgainstBruteForce:
 
 
 class TestEdtBlockEdges:
-    # Shapes that reach the edges of the blocked minimum: a ragged last row
-    # block (37 rows of a 100-long axis: 26 + 11), a ragged gap-table chunk
-    # (a 600-long axis: 436 + 164 gap rows, one row per block), a long
-    # first-axis scan, and ragged row blocks on both later axes of a 3D grid.
+    # Shapes that reach the edges of the tiled minimum: tiles of 64 query
+    # positions with a ragged last tile (a 100-long axis: 64 + 36; a
+    # 600-long axis: 9 x 64 + 24), axes short enough for one tile, a long
+    # first-axis scan, and ragged row blocks on both later axes of a 3D grid
+    # (630 rows of 70 in blocks of 58; 4900 rows of 9 in blocks of 3236).
     @pytest.mark.parametrize(
         "shape", [(100, 37), (37, 100), (600, 3), (3, 600), (70, 70, 9)]
     )
@@ -97,6 +99,81 @@ class TestEdtAgainstScipy:
         sp = tuple(rng.uniform(0.5, 3.0, size=m.ndim)) if anisotropic else None
         expected = ndimage.distance_transform_edt(~m, sampling=sp)
         np.testing.assert_allclose(edt(m, sp), expected, atol=1e-9)
+
+
+def _min_plus_reference(d2, axis, step):
+    """The whole-table minimum over every candidate p, the definition itself."""
+    moved = np.moveaxis(d2, axis, -1)
+    pos = np.arange(moved.shape[-1], dtype=np.float64) * step
+    table = moved[..., None, :] + (pos[:, None] - pos) ** 2  # [.., q, p]
+    return np.moveaxis(table.min(axis=-1), -1, axis)
+
+
+@st.composite
+def min_plus_inputs(draw):
+    """Non-negative rows with inf entries, all-inf rows, axes of one or
+    several tiles (ragged last tile), more rows than one block holds, and
+    anisotropic steps."""
+    rows = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 260))
+    density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.5, 1.0]))
+    step = draw(st.sampled_from([1.0, 0.37, 2.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.0, n * step, size=(rows, n)) ** 2
+    d2 = np.where(rng.random((rows, n)) < density, vals, np.inf)
+    d2[rng.random(rows) < 0.2] = np.inf
+    if draw(st.booleans()):  # the pass runs along a middle axis of a 3D array
+        return d2.reshape(rows, 1, n).transpose(0, 2, 1).copy(), 1, step
+    return d2, 1, step
+
+
+class TestMinPlusAxis:
+    @given(min_plus_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_whole_table_bit_for_bit(self, args):
+        d2, axis, step = args
+        got = _min_plus_axis(d2, axis, step)
+        assert np.array_equal(got, _min_plus_reference(d2, axis, step))
+
+    def test_keeps_a_candidate_just_inside_the_reach(self):
+        # Tile [64, 128) holds 5.0 everywhere, so its outputs are at most 5
+        # and its reach is sqrt(5) = 2.24 steps; the source 2 steps to its
+        # left gives 4 at q = 64 and must stay in the window.
+        d2 = np.full((1, 200), np.inf)
+        d2[0, 62] = 0.0
+        d2[0, 64:128] = 5.0
+        got = _min_plus_axis(d2, 1, 1.0)
+        assert got[0, 64] == 4.0
+        assert np.array_equal(got, _min_plus_reference(d2, 1, 1.0))
+
+
+class TestEdtLongThinAxes:
+    # A long later axis with few rows, so one row per block. Sparse sources
+    # leave whole tiles without a finite entry; on the 20000-long axis (six
+    # sources) some tiles reach past 4096 candidates, which a block takes
+    # in chunks.
+    @pytest.mark.parametrize("shape, density", [((2, 20000), 0.0002), ((3, 5000), 0.001)])
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    def test_matches_scipy(self, shape, density, anisotropic):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(shape[1])
+        m = rng.random(shape) < density
+        m[0, shape[1] // 3] = True
+        sp = (0.7, 1.9) if anisotropic else None
+        expected = ndimage.distance_transform_edt(~m, sampling=sp)
+        np.testing.assert_allclose(edt(m, sp), expected, atol=1e-9)
+
+
+class TestAsSpacing:
+    @pytest.mark.parametrize("spacing", [[[1, 1]], "ab", [[1], [1, 2]], [1, None], [True, True]])
+    def test_malformed_spacing_is_a_validation_error(self, spacing):
+        with pytest.raises(ValidationError):
+            as_spacing(spacing, 2)
+
+    def test_accepts_scalars_and_flat_sequences(self):
+        assert as_spacing(2, 1) == (2.0,)
+        assert as_spacing((1, 2.5), 2) == (1.0, 2.5)
+        assert as_spacing(np.array([0.5, 3.0]), 2) == (0.5, 3.0)
 
 
 class TestEdtInvariants:
