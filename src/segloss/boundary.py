@@ -9,12 +9,13 @@ with nothing to compute raise DegenerateInputError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, check_pair
+from .core import LossResult, check_pair, grid_sum, per_prediction
 from .distance import (
     as_mask,
     as_spacing,
@@ -91,13 +92,11 @@ def boundary_loss(
     flag; if every foreground channel is degenerate there is nothing to
     integrate against and the input is rejected.
     """
-    s = np.asarray(s, dtype=np.float64)
     if not isinstance(ctx, BoundaryContext):
         raise ValidationError("first argument must be a BoundaryContext (see boundary_context)")
-    if ctx.phi.shape != s.shape:
-        raise ValidationError(f"context shape {ctx.phi.shape} != prediction {s.shape}")
-    num_classes = s.shape[-1]
-    n = float(np.prod(s.shape[:-1]))
+    phi, s = check_pair(ctx.phi, s)
+    num_classes = phi.shape[-1]
+    n = float(math.prod(phi.shape[:-1]))
     usable = [c for c in range(1, num_classes) if not ctx.degenerate[c]]
     flags = tuple(f"degenerate-class-{c}" for c in range(1, num_classes) if ctx.degenerate[c])
     if not usable:
@@ -105,9 +104,9 @@ def boundary_loss(
     value = 0.0
     grad = np.zeros_like(s)
     for c in usable:
-        value += (ctx.phi[..., c] * s[..., c]).sum()
-        grad[..., c] = ctx.phi[..., c] / n
-    return LossResult(float(value / n), grad, flags)
+        value += grid_sum(phi[..., c] * s[..., c], phi.ndim - 1)
+        grad[..., c] = phi[..., c] / n
+    return LossResult(per_prediction(value / n, phi, s), grad, flags)
 
 
 def boundary_gt_term(ctx: BoundaryContext, g: np.ndarray) -> float:
@@ -140,32 +139,40 @@ def hd_loss(
     foreground_boundary_distances — the first to amortize the ground-truth
     side, the second to pin the prediction-side maps (finite differences
     must probe the same weighting the analytic gradient was built with).
+    A stack of predictions needs ``pred_dist``: without it each prediction
+    would be weighted by its own maps.
     """
     g, s = check_pair(g, s)
     num_classes = g.shape[-1]
-    n = float(np.prod(g.shape[:-1]))
+    n = float(math.prod(g.shape[:-1]))
     g_fg = g[..., 1:]
     s_fg = s[..., 1:]
     if not (g_fg >= 0.5).any():
         raise DegenerateInputError("ground-truth foreground is empty")
+    stack = s.shape[: s.ndim - g.ndim]
     for c in range(1, num_classes):
-        if not (g[..., c] >= 0.5).any() and not (s[..., c] >= 0.5).any():
+        # a stack fails where any one of its predictions would
+        if not (g[..., c] >= 0.5).any() and not (
+            (s[..., c] >= 0.5).reshape(stack + (-1,)).any(axis=-1).all()
+        ):
             raise DegenerateInputError(
                 f"class {c} is empty in both ground truth and thresholded prediction"
             )
     if gt_dist is None:
         gt_dist = foreground_boundary_distances(g, spacing, tag="gt")
     if pred_dist is None:
+        if stack:
+            raise ValidationError("hd on a prediction stack needs pinned pred_dist")
         pred_dist = foreground_boundary_distances(s, spacing, tag="pred")
     d_g, flags_g = gt_dist
     d_s, flags_s = pred_dist
     if d_g.shape != g_fg.shape or d_s.shape != g_fg.shape:
         raise ValidationError("distance map shapes do not match the foreground channels")
     weight = d_g**2 + d_s**2
-    value = ((s_fg - g_fg) ** 2 * weight).sum() / n
+    value = grid_sum((s_fg - g_fg) ** 2 * weight, g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., 1:] = 2.0 * (s_fg - g_fg) * weight / n
-    return LossResult(float(value), grad, flags_g + flags_s)
+    return LossResult(per_prediction(value, g, s), grad, flags_g + flags_s)
 
 
 def _mask_pair(g_mask: np.ndarray, s_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,17 @@
-"""Compound losses mixing cross-entropy with overlap terms."""
+"""Compound losses mixing cross-entropy with overlap terms.
+
+Like every kernel, both take one prediction or a stack of them with shape
+``(K,) + g.shape``; every sum runs per prediction.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, check_pair
+from .core import LossResult, check_pair, class_sums, grid_sum, included, per_prediction
 from .errors import ValidationError
 
 
@@ -37,21 +43,23 @@ def combo_loss(
     if not (0.0 <= alpha <= 1.0) or not (0.0 <= beta <= 1.0):
         raise ValidationError(f"alpha and beta must be in [0, 1], got {alpha}, {beta}")
     eps = cfg.epsilon
-    n = float(np.prod(g.shape[:-1]))
+    n = float(math.prod(g.shape[:-1]))
+    grid = g.ndim - 1
     g1 = g[..., 1]
     s1 = s[..., 1]
     s_pos = np.clip(s1, cfg.log_clamp, 1.0)
     s_neg = np.clip(1.0 - s1, cfg.log_clamp, 1.0)
-    ce_part = -(beta * g1 * np.log(s_pos) + (1.0 - beta) * (1.0 - g1) * np.log(s_neg)).sum() / n
-    a = 2.0 * (g1 * s1).sum() + eps
-    b = g1.sum() + s1.sum() + eps
+    bce = beta * g1 * np.log(s_pos) + (1.0 - beta) * (1.0 - g1) * np.log(s_neg)
+    ce_part = -grid_sum(bce, grid) / n
+    a = 2.0 * grid_sum(g1 * s1, grid) + eps
+    b = g1.sum() + grid_sum(s1, grid) + eps
     dice_coef = a / b
     value = alpha * ce_part - (1.0 - alpha) * dice_coef
     grad = np.zeros_like(s)
     d_ce = -(beta * g1 / s_pos - (1.0 - beta) * (1.0 - g1) / s_neg) / n
-    d_dice = (2.0 * g1 * b - a) / b**2
+    d_dice = (2.0 * g1 * b - a) / (b * b)
     grad[..., 1] = alpha * d_ce - (1.0 - alpha) * d_dice
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def ell_loss(
@@ -72,7 +80,7 @@ def ell_loss(
     pixels by their true class. Gammas below 1 flatten easy regions; the
     power law's derivative at an exactly-perfect term is taken as 0.
     """
-    g, s = check_pair(g, s)
+    g, s, sl = included(g, s, cfg)
     if w_dice < 0 or w_ce < 0 or w_dice + w_ce <= 0:
         raise ValidationError(f"need non-negative weights with a positive sum, got {w_dice}, {w_ce}")
     if not (gamma_dice > 0 and np.isfinite(gamma_dice)) or not (gamma_ce > 0 and np.isfinite(gamma_ce)):
@@ -87,24 +95,21 @@ def ell_loss(
         if (cw < 0).any() or not np.isfinite(cw).all():
             raise ValidationError("class_weights must be finite and non-negative")
     eps = cfg.epsilon
-    first = cfg.first_class()
-    gi = g[..., first:]
-    si = s[..., first:]
-    flat_g = gi.reshape(-1, gi.shape[-1])
-    flat_s = si.reshape(-1, si.shape[-1])
+    gi = g[..., sl]
+    si = s[..., sl]
     grad = np.zeros_like(s)
 
     # Dice branch: mean over included classes of (-log Dice_c)^gamma_dice.
-    a_c = 2.0 * (flat_g * flat_s).sum(axis=0) + eps
-    b_c = flat_g.sum(axis=0) + flat_s.sum(axis=0) + eps
+    a_c = 2.0 * class_sums(gi * si, g.ndim) + eps
+    b_c = class_sums(gi, g.ndim) + class_sums(si, g.ndim) + eps
     dice_c = a_c / b_c
     x_c = -np.log(dice_c)
     n_cls = gi.shape[-1]
-    dice_term = (x_c**gamma_dice).mean()
+    dice_term = grid_sum(x_c**gamma_dice, 1) / n_cls
     power = _power_derivative(x_c, gamma_dice)
     # d(-log Dice_c)/ds_ic = -(2 g_ic b_c - a_c) / (a_c b_c)
     d_x = -(2.0 * gi * b_c - a_c) / (a_c * b_c)
-    grad[..., first:] += (w_dice / n_cls) * power * d_x
+    grad[..., sl] += (w_dice / n_cls) * power * d_x
 
     # CE branch: mean over pixels of w[true] * (-log s_true)^gamma_ce.
     has_true = gi.sum(axis=-1) > 0
@@ -113,11 +118,12 @@ def ell_loss(
         raise ValidationError("no pixel has an included true class")
     s_true = np.maximum((gi * si).sum(axis=-1), cfg.log_clamp)
     y = -np.log(s_true)
-    w_pix = (gi * cw[first:]).sum(axis=-1)  # weight of each pixel's true class
-    ce_term = float((w_pix * np.where(has_true, y, 0.0) ** gamma_ce * has_true).sum() / n_eff)
+    w_pix = (gi * cw[sl]).sum(axis=-1)  # weight of each pixel's true class
+    ce_pix = w_pix * np.where(has_true, y, 0.0) ** gamma_ce * has_true
+    ce_term = grid_sum(ce_pix[..., None], g.ndim) / n_eff
     y_pow = _power_derivative(y, gamma_ce)
     pix = -w_pix * y_pow * has_true / (n_eff * s_true)
-    grad[..., first:] += gi * pix[..., None] * w_ce
+    grad[..., sl] += gi * pix[..., None] * w_ce
 
     value = w_dice * dice_term + w_ce * ce_term
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)

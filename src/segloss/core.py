@@ -13,10 +13,12 @@ Class 0 is the background by convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import LossConfig
 from .errors import ValidationError
 
 MAX_SPATIAL_RANK = 3
@@ -115,29 +117,92 @@ def softmax_vjp(s: np.ndarray, grad_s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossResult:
-    """A scalar loss value plus its gradient w.r.t. the probability map.
+    """A loss value plus its gradient w.r.t. the probability map.
+
+    A kernel given one prediction ``s`` returns a float value and a
+    gradient shaped like ``s``. Given a stack of K predictions, shape
+    ``(K,) + g.shape``, it returns a ``(K,)`` array of values and a
+    ``(K,) + g.shape`` gradient; entry k is bit-identical to what the kernel
+    returns for ``s[k]`` alone. Every value and gradient entry is checked
+    to be finite.
 
     ``flags`` records non-fatal conditions hit during evaluation
     (degenerate classes skipped, sentinel distances used, ...).
     """
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if isinstance(self.value, np.ndarray):
+            finite = np.isfinite(self.value).all()
+        else:
+            finite = math.isfinite(self.value)
+        if not finite:
             raise ValidationError(f"loss value is not finite: {self.value!r}")
         if not np.isfinite(self.grad).all():
             raise ValidationError("loss gradient contains non-finite entries")
 
+    def expand(self, x):
+        """``x``, one number per prediction like the value, shaped to
+        broadcast against the gradient: unchanged for one prediction,
+        ``(K, 1, ..., 1)`` for a stack of K."""
+        if np.ndim(x) == 0:
+            return x
+        return np.reshape(x, np.shape(x) + (1,) * (self.grad.ndim - 1))
+
 
 def check_pair(g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common entry check for loss kernels: matching one-hot / prob shapes."""
+    """Common entry check for loss kernels: a one-hot ground truth of shape
+    ``dims + (C,)`` and a probability map of the same shape, or a non-empty
+    stack of them with shape ``(K,) + g.shape``."""
     g = np.asarray(g, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    if g.shape != s.shape:
+    if g.shape != s.shape and g.shape != s.shape[1:]:
         raise ValidationError(f"shape mismatch: ground truth {g.shape} vs prediction {s.shape}")
     if g.ndim < 2 or g.shape[-1] < 2:
         raise ValidationError(f"expected dims + (C>=2,) arrays, got shape {g.shape}")
+    if s.ndim > g.ndim and s.shape[0] == 0:
+        raise ValidationError(f"empty prediction stack, shape {s.shape}")
     return g, s
+
+
+def included(g: np.ndarray, s: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray, slice]:
+    """check_pair, plus the slice of classes that take part in class sums:
+    class 0 drops out when the config excludes the background."""
+    g, s = check_pair(g, s)
+    return g, s, slice(cfg.first_class(), None)
+
+
+# The reductions below take ``ndim``, the number of axes one prediction's
+# array has; an array with more carries a leading stack axis. One
+# prediction is reduced as a plain numpy sum, to numpy scalars whose
+# arithmetic is cheap; a stack keeps the reduced axes as size-1 axes so the
+# totals broadcast against its gradient. Every total of a stack is the same
+# float as the single prediction's. Kernels square a total as b * b, not
+# b**2: numpy's scalar power and its array power differ in the last bit for
+# some b.
+
+
+def grid_sum(x: np.ndarray, ndim: int):
+    """The sum over the last ``ndim`` axes: a scalar, or one per prediction."""
+    if x.ndim == ndim:
+        return x.sum()
+    return x.sum(axis=tuple(range(-ndim, 0)), keepdims=True)
+
+
+def class_sums(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-class sums over the grid axes, the ``ndim - 1`` axes before the
+    trailing class axis: shape ``(C,)``, or one row per prediction."""
+    if x.ndim == ndim:
+        return x.reshape(-1, x.shape[-1]).sum(axis=0)
+    return x.sum(axis=tuple(range(-ndim, -1)), keepdims=True)
+
+
+def per_prediction(total, g: np.ndarray, s: np.ndarray) -> float | np.ndarray:
+    """Totals from grid_sum as a LossResult value: a float for one
+    prediction, a ``(K,)`` array for a stack of K."""
+    if s.ndim == g.ndim:
+        return float(total)
+    return np.reshape(total, s.shape[:1])

@@ -2,23 +2,20 @@
 distance-penalized variants.
 
 All kernels take a one-hot ground truth ``g`` and a probability map ``s``
-of shape ``dims + (C,)`` and return a LossResult whose gradient is taken
-w.r.t. the probability entries (class-excluded entries get zero gradient).
+of shape ``dims + (C,)``, or a stack of them with shape ``(K,) + g.shape``,
+and return a LossResult whose gradient is taken w.r.t. the probability
+entries (class-excluded entries get zero gradient).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, check_pair
+from .core import LossResult, grid_sum, included, per_prediction
 from .errors import ValidationError
-
-
-def _included(cfg: LossConfig, num_classes: int) -> slice:
-    if num_classes < 2:
-        raise ValidationError(f"need >= 2 classes, got {num_classes}")
-    return slice(cfg.first_class(), None)
 
 
 def _clamped(s_part: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -27,15 +24,14 @@ def _clamped(s_part: np.ndarray, cfg: LossConfig) -> np.ndarray:
 
 def ce(g: np.ndarray, s: np.ndarray, cfg: LossConfig = DEFAULT_CONFIG) -> LossResult:
     """Mean cross-entropy over pixels: -(1/N) sum_i log s_i[true class]."""
-    g, s = check_pair(g, s)
-    sl = _included(cfg, g.shape[-1])
-    n = float(np.prod(g.shape[:-1]))
+    g, s, sl = included(g, s, cfg)
+    n = float(math.prod(g.shape[:-1]))
     sc = _clamped(s[..., sl], cfg)
     gi = g[..., sl]
-    value = -(gi * np.log(sc)).sum() / n
+    value = -grid_sum(gi * np.log(sc), g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., sl] = -gi / (n * sc)
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def wce(
@@ -45,7 +41,7 @@ def wce(
     cfg: LossConfig = DEFAULT_CONFIG,
 ) -> LossResult:
     """Class-weighted cross-entropy; ``weights`` has one entry per class."""
-    g, s = check_pair(g, s)
+    g, s, sl = included(g, s, cfg)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (g.shape[-1],):
         raise ValidationError(
@@ -55,14 +51,13 @@ def wce(
         raise ValidationError("class weights must be finite and non-negative")
     if not (w > 0).any():
         raise ValidationError("at least one class weight must be positive")
-    sl = _included(cfg, g.shape[-1])
-    n = float(np.prod(g.shape[:-1]))
+    n = float(math.prod(g.shape[:-1]))
     sc = _clamped(s[..., sl], cfg)
     gi = g[..., sl]
-    value = -(w[sl] * gi * np.log(sc)).sum() / n
+    value = -grid_sum(w[sl] * gi * np.log(sc), g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., sl] = -w[sl] * gi / (n * sc)
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def topk_keep_set(
@@ -73,8 +68,7 @@ def topk_keep_set(
 ) -> np.ndarray:
     """The pixel set topk would select at this prediction (true-class
     probability below the threshold), as a boolean grid."""
-    g, s = check_pair(g, s)
-    sl = _included(cfg, g.shape[-1])
+    g, s, sl = included(g, s, cfg)
     gi = g[..., sl]
     s_true = (gi * s[..., sl]).sum(axis=-1)
     return (gi.sum(axis=-1) > 0) & (s_true < threshold)
@@ -92,16 +86,18 @@ def topk(
 
     ``keep`` pins the selected pixel set explicitly (boolean over the grid);
     it is what a finite-difference probe passes so that both sides of the
-    comparison differentiate the same smooth branch.
+    comparison differentiate the same smooth branch. A stack of predictions
+    needs it: without ``keep`` each prediction would select its own set.
     """
-    g, s = check_pair(g, s)
+    g, s, sl = included(g, s, cfg)
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    sl = _included(cfg, g.shape[-1])
     gi = g[..., sl]
     s_true = (gi * s[..., sl]).sum(axis=-1)
     has_true = gi.sum(axis=-1) > 0
     if keep is None:
+        if s.ndim > g.ndim:
+            raise ValidationError("topk on a prediction stack needs a pinned keep set")
         keep = has_true & (s_true < threshold)
     else:
         keep = np.asarray(keep, dtype=bool)
@@ -110,11 +106,15 @@ def topk(
     k = int(keep.sum())
     grad = np.zeros_like(s)
     if k == 0:
-        return LossResult(0.0, grad, flags=("empty-keep-set",))
+        empty = np.zeros(s.shape[: s.ndim - g.ndim])
+        return LossResult(per_prediction(empty, g, s), grad, flags=("empty-keep-set",))
     stc = np.maximum(s_true, cfg.log_clamp)
-    value = -np.log(stc[keep]).sum() / k
+    # indexing a stack leaves the kept entries strided; a contiguous row per
+    # prediction is summed in the same order as a single prediction's
+    kept = np.ascontiguousarray(stc[..., keep])
+    value = -np.log(kept).sum(axis=-1) / k
     grad[..., sl] = -gi * (keep / (k * stc))[..., None]
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def focal(
@@ -127,11 +127,10 @@ def focal(
 
     gamma = 0 reduces exactly to plain cross-entropy.
     """
-    g, s = check_pair(g, s)
+    g, s, sl = included(g, s, cfg)
     if gamma < 0 or not np.isfinite(gamma):
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
-    sl = _included(cfg, g.shape[-1])
-    n = float(np.prod(g.shape[:-1]))
+    n = float(math.prod(g.shape[:-1]))
     gi = g[..., sl]
     si = s[..., sl]
     sc = _clamped(si, cfg)
@@ -144,10 +143,10 @@ def focal(
         # derivative of the modulation; its product with log(s) -> 0 as s -> 1
         with np.errstate(divide="ignore", invalid="ignore"):
             dmodul = np.where(one_minus > 0.0, gamma * one_minus ** (gamma - 1.0), 0.0)
-    value = -(gi * modul * log_sc).sum() / n
+    value = -grid_sum(gi * modul * log_sc, g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., sl] = gi * (dmodul * log_sc - modul / sc) / n
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def dpce(
@@ -161,18 +160,17 @@ def dpce(
 
     D = 0 everywhere reduces exactly to plain cross-entropy.
     """
-    g, s = check_pair(g, s)
+    g, s, sl = included(g, s, cfg)
     d = np.asarray(dist, dtype=np.float64)
     if d.shape != g.shape:
         raise ValidationError(f"distance map shape {d.shape} != {g.shape}")
     if not np.isfinite(d).all() or (d < 0).any():
         raise ValidationError("distance map must be finite and non-negative")
-    sl = _included(cfg, g.shape[-1])
-    n = float(np.prod(g.shape[:-1]))
+    n = float(math.prod(g.shape[:-1]))
     gi = g[..., sl]
     sc = _clamped(s[..., sl], cfg)
     wi = 1.0 + d[..., sl]
-    value = -(wi * gi * np.log(sc)).sum() / n
+    value = -grid_sum(wi * gi * np.log(sc), g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., sl] = -wi * gi / (n * sc)
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)

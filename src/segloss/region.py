@@ -3,7 +3,8 @@
 Sums run pooled over pixels and included classes (class 0 drops out when
 the config excludes the background). The asymmetric similarity loss is the
 exception: it is defined per foreground class and averaged, independent of
-the background toggle.
+the background toggle. With a stack of predictions, shape ``(K,) + g.shape``,
+every sum runs per prediction.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, check_pair
+from .core import LossResult, check_pair, class_sums, grid_sum, included, per_prediction
 from .errors import ValidationError
 
 
-def _parts(g, s, cfg):
-    g, s = check_pair(g, s)
-    sl = slice(cfg.first_class(), None)
-    return g, s, g[..., sl], s[..., sl], sl
+def _pow(base, exponent: float):
+    """base ** exponent where base > 0, else 0, for a float or each entry of
+    a (K,) array, by Python's float pow: numpy's vectorized power differs
+    from it in the last bit on some inputs and CPUs."""
+    if np.ndim(base) == 0:
+        return base**exponent if base > 0.0 else 0.0
+    return np.array([_pow(b, exponent) for b in base.tolist()])
 
 
 def ss_loss(
@@ -31,43 +35,50 @@ def ss_loss(
 
     w weights the foreground (sensitivity) term, 1-w the background term.
     """
-    g, s, gi, si, sl = _parts(g, s, cfg)
+    g, s, sl = included(g, s, cfg)
     if not (0.0 <= w <= 1.0):
         raise ValidationError(f"w must be in [0, 1], got {w}")
+    gi, si = g[..., sl], s[..., sl]
     eps = cfg.epsilon
     sq = (gi - si) ** 2
     pos = gi.sum() + eps
     neg = (1.0 - gi).sum() + eps
-    value = w * (sq * gi).sum() / pos + (1.0 - w) * (sq * (1.0 - gi)).sum() / neg
+    value = (
+        w * grid_sum(sq * gi, g.ndim) / pos
+        + (1.0 - w) * grid_sum(sq * (1.0 - gi), g.ndim) / neg
+    )
     grad = np.zeros_like(s)
     grad[..., sl] = -2.0 * (gi - si) * (w * gi / pos + (1.0 - w) * (1.0 - gi) / neg)
-    return LossResult(float(value), grad)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def dice_loss(g: np.ndarray, s: np.ndarray, cfg: LossConfig = DEFAULT_CONFIG) -> LossResult:
     """Soft Dice loss with squared-sum denominator:
     1 - (2<g,s> + eps) / (|g|^2 + |s|^2 + eps).
     """
-    g, s, gi, si, sl = _parts(g, s, cfg)
+    g, s, sl = included(g, s, cfg)
+    gi, si = g[..., sl], s[..., sl]
     eps = cfg.epsilon
-    a = 2.0 * (gi * si).sum() + eps
-    b = (gi**2).sum() + (si**2).sum() + eps
+    a = 2.0 * grid_sum(gi * si, g.ndim) + eps
+    b = (gi**2).sum() + grid_sum(si**2, g.ndim) + eps
     value = 1.0 - a / b
     grad = np.zeros_like(s)
-    grad[..., sl] = -(2.0 * gi * b - a * 2.0 * si) / b**2
-    return LossResult(float(value), grad)
+    grad[..., sl] = -(2.0 * gi * b - a * 2.0 * si) / (b * b)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def iou_loss(g: np.ndarray, s: np.ndarray, cfg: LossConfig = DEFAULT_CONFIG) -> LossResult:
     """Soft Jaccard loss: 1 - (<g,s> + eps) / (sum(g) + sum(s) - <g,s> + eps)."""
-    g, s, gi, si, sl = _parts(g, s, cfg)
+    g, s, sl = included(g, s, cfg)
+    gi, si = g[..., sl], s[..., sl]
     eps = cfg.epsilon
-    a = (gi * si).sum() + eps
-    b = gi.sum() + si.sum() - (gi * si).sum() + eps
+    overlap = grid_sum(gi * si, g.ndim)
+    a = overlap + eps
+    b = gi.sum() + grid_sum(si, g.ndim) - overlap + eps
     value = 1.0 - a / b
     grad = np.zeros_like(s)
-    grad[..., sl] = -(gi * b - a * (1.0 - gi)) / b**2
-    return LossResult(float(value), grad)
+    grad[..., sl] = -(gi * b - a * (1.0 - gi)) / (b * b)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def tversky_index(
@@ -82,22 +93,23 @@ def tversky_index(
     alpha = beta = 0.5 makes 1 - index coincide with the linear-denominator
     Dice loss (with the stabilizer doubled accordingly).
     """
-    g, s, gi, si, sl = _parts(g, s, cfg)
+    g, s, sl = included(g, s, cfg)
     if alpha < 0 or beta < 0 or not np.isfinite(alpha) or not np.isfinite(beta):
         raise ValidationError(f"alpha/beta must be finite and >= 0, got {alpha}, {beta}")
     if alpha + beta == 0:
         raise ValidationError("alpha + beta must be positive")
+    gi, si = g[..., sl], s[..., sl]
     eps = cfg.epsilon
-    overlap = (gi * si).sum()
-    fp = ((1.0 - gi) * si).sum()
-    fn = (gi * (1.0 - si)).sum()
+    overlap = grid_sum(gi * si, g.ndim)
+    fp = grid_sum((1.0 - gi) * si, g.ndim)
+    fn = grid_sum(gi * (1.0 - si), g.ndim)
     a = overlap + eps
     b = overlap + alpha * fp + beta * fn + eps
     value = a / b
     db = gi + alpha * (1.0 - gi) - beta * gi  # d b / d s
     grad = np.zeros_like(s)
-    grad[..., sl] = (gi * b - a * db) / b**2
-    return LossResult(float(value), grad)
+    grad[..., sl] = (gi * b - a * db) / (b * b)
+    return LossResult(per_prediction(value, g, s), grad)
 
 
 def tversky_loss(
@@ -120,7 +132,8 @@ def generalized_dice_loss(
     Classes absent from the ground truth get weight 0 (and a flag) instead
     of an infinite weight.
     """
-    g, s, gi, si, sl = _parts(g, s, cfg)
+    g, s, sl = included(g, s, cfg)
+    gi, si = g[..., sl], s[..., sl]
     eps = cfg.epsilon
     counts = gi.reshape(-1, gi.shape[-1]).sum(axis=0)
     flags = []
@@ -128,14 +141,14 @@ def generalized_dice_loss(
         w = np.where(counts > 0, 1.0 / counts**2, 0.0)
     for c in np.nonzero(counts == 0)[0]:
         flags.append(f"empty-class-{c + cfg.first_class()}")
-    overlap_c = (gi * si).reshape(-1, gi.shape[-1]).sum(axis=0)
-    total_c = (gi + si).reshape(-1, gi.shape[-1]).sum(axis=0)
-    u = 2.0 * (w * overlap_c).sum() + eps
-    v = (w * total_c).sum() + eps
+    overlap_c = class_sums(gi * si, g.ndim)
+    total_c = class_sums(gi + si, g.ndim)
+    u = 2.0 * grid_sum(w * overlap_c, 1) + eps
+    v = grid_sum(w * total_c, 1) + eps
     value = 1.0 - u / v
     grad = np.zeros_like(s)
-    grad[..., sl] = -w * (2.0 * gi * v - u) / v**2
-    return LossResult(float(value), grad, tuple(flags))
+    grad[..., sl] = -w * (2.0 * gi * v - u) / (v * v)
+    return LossResult(per_prediction(value, g, s), grad, tuple(flags))
 
 
 def focal_tversky_loss(
@@ -155,14 +168,10 @@ def focal_tversky_loss(
         raise ValidationError(f"gamma must be in [1, 3], got {gamma}")
     idx = tversky_index(g, s, alpha, beta, cfg)
     base = 1.0 - idx.value
-    if base <= 0.0:
-        if gamma == 1.0:  # exponent 1: derivative stays -d(index) even at 0
-            return LossResult(0.0, -idx.grad, idx.flags)
-        return LossResult(0.0, np.zeros_like(idx.grad), idx.flags)
     p = 1.0 / gamma
-    value = base**p
-    grad = p * base ** (p - 1.0) * (-idx.grad)
-    return LossResult(float(value), grad, idx.flags)
+    # exponent 1: the derivative stays -d(index) even at a perfect index
+    slope = np.where(base > 0.0, p * _pow(base, p - 1.0), 1.0 if gamma == 1.0 else 0.0)
+    return LossResult(_pow(base, p), idx.expand(slope) * (-idx.grad), idx.flags)
 
 
 def asymmetric_loss(
@@ -184,20 +193,21 @@ def asymmetric_loss(
     w_fn = beta**2 / (1.0 + beta**2)
     w_fp = 1.0 / (1.0 + beta**2)
     n_fg = g.shape[-1] - 1
+    grid = g.ndim - 1
     grad = np.zeros_like(s)
     total = 0.0
     for c in range(1, g.shape[-1]):
         gc = g[..., c]
         sc = s[..., c]
-        overlap = (gc * sc).sum()
-        fn = (gc * (1.0 - sc)).sum()
-        fp = ((1.0 - gc) * sc).sum()
+        overlap = grid_sum(gc * sc, grid)
+        fn = grid_sum(gc * (1.0 - sc), grid)
+        fp = grid_sum((1.0 - gc) * sc, grid)
         a = overlap + eps
         b = overlap + w_fn * fn + w_fp * fp + eps
         total += 1.0 - a / b
         # d b / d s = gc - w_fn*gc + w_fp*(1-gc) = w_fp  (since 1 - w_fn = w_fp)
-        grad[..., c] = -(gc * b - a * w_fp) / b**2 / n_fg
-    return LossResult(float(total / n_fg), grad)
+        grad[..., c] = -(gc * b - a * w_fp) / (b * b) / n_fg
+    return LossResult(per_prediction(total / n_fg, g, s), grad)
 
 
 def penalty_gd_loss(
@@ -214,6 +224,5 @@ def penalty_gd_loss(
         raise ValidationError(f"k must be finite and >= 0, got {k}")
     gd = generalized_dice_loss(g, s, cfg)
     denom = 1.0 + k * (1.0 - gd.value)
-    value = gd.value / denom
-    grad = gd.grad * ((1.0 + k) / denom**2)
-    return LossResult(float(value), grad, gd.flags)
+    scale = gd.expand((1.0 + k) / (denom * denom))
+    return LossResult(gd.value / denom, gd.grad * scale, gd.flags)

@@ -28,6 +28,7 @@ from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult
 from .distance import unsigned_boundary_distance
 from .distribution import ce, dpce, focal, topk, wce
+from .errors import ValidationError
 from .gradcheck import random_instance
 from .region import (
     asymmetric_loss,
@@ -64,6 +65,8 @@ def _linear_dice_comparator(g: np.ndarray, s: np.ndarray, cfg: LossConfig) -> fl
 def run_identity_checks(
     trials: int = 100, seed: int = 0, cfg: LossConfig = DEFAULT_CONFIG
 ) -> list[RelationCheck]:
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     instances = [random_instance(rng) for _ in range(trials)]
     checks = []

@@ -242,6 +242,25 @@ class TestCheckCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("command", ["gradcheck", "relations"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_an_audit_of_no_trials_is_exit_2(self, command, trials, capsys):
+        assert run_cli(command, "--trials", trials) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [("--h", "nan", "step h"), ("--h", "inf", "step h"), ("--h", "-1e-6", "step h"),
+         ("--tol", "nan", "tolerance"), ("--tol", "inf", "tolerance")],
+    )
+    def test_gradcheck_step_or_tolerance_not_finite_is_exit_2(self, flag, value, match, capsys):
+        assert run_cli("gradcheck", "--loss", "ce", "--trials", "1", f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert match in captured.err
+
 
 class TestEntryPoint:
     def test_missing_subcommand_exits_2(self):
