@@ -10,49 +10,18 @@ with nothing to compute raise DegenerateInputError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult, check_pair, grid_sum, per_prediction
-from .distance import (
-    as_mask,
-    as_spacing,
-    level_set,
-    sentinel_value,
-    unsigned_boundary_distance,
-)
+from .distance import BoundaryContext, as_mask, unsigned_boundary_distance
 from .errors import DegenerateInputError, ValidationError
-
-
-@dataclass(frozen=True)
-class BoundaryContext:
-    """Per-class distance maps of a ground truth, built once and reused
-    across evaluations. ``phi`` is the signed map (negative inside),
-    ``dist`` its unsigned magnitude; both have the full dims + (C,) shape.
-    Degenerate channels carry sentinel distances and are marked."""
-
-    phi: np.ndarray
-    dist: np.ndarray
-    degenerate: tuple[bool, ...]
-    spacing: tuple[float, ...]
 
 
 def boundary_context(g: np.ndarray, spacing=None) -> BoundaryContext:
     """Signed + unsigned boundary distance of every class channel."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim < 2 or g.shape[-1] < 2:
-        raise ValidationError(f"expected dims + (C>=2,) ground truth, got shape {g.shape}")
-    sp = as_spacing(spacing, g.ndim - 1)
-    num_classes = g.shape[-1]
-    phi = np.empty_like(g)
-    degenerate = []
-    for c in range(num_classes):
-        mask = g[..., c] >= 0.5
-        degenerate.append(bool(mask.all() or not mask.any()))
-        phi[..., c] = level_set(mask, sp)
-    return BoundaryContext(phi, np.abs(phi), tuple(degenerate), sp)
+    return BoundaryContext(g, spacing)
 
 
 def foreground_boundary_distances(
@@ -63,19 +32,7 @@ def foreground_boundary_distances(
     Returns a dims + (C-1,) array (channel c maps to slot c-1) and flags for
     channels that were degenerate and got sentinel distances.
     """
-    x = np.asarray(x, dtype=np.float64)
-    num_classes = x.shape[-1]
-    sp = as_spacing(spacing, x.ndim - 1)
-    out = np.empty(x.shape[:-1] + (num_classes - 1,), dtype=np.float64)
-    flags = []
-    for c in range(1, num_classes):
-        mask = x[..., c] >= 0.5
-        if mask.all() or not mask.any():
-            out[..., c - 1] = sentinel_value(mask.shape, sp)
-            flags.append(f"degenerate-{tag}-class-{c}")
-        else:
-            out[..., c - 1] = unsigned_boundary_distance(mask, sp)
-    return out, tuple(flags)
+    return BoundaryContext(x, spacing).foreground_distances(tag)
 
 
 def boundary_loss(

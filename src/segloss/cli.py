@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import one_hot
-from .distance import edt, level_set
+from .distance import BoundaryContext, edt, level_set
 from .errors import DegenerateInputError, SeglossError, TensorFileError, ValidationError
 from .gradcheck import run_suite
 from .optimize import optimize
@@ -75,6 +75,7 @@ def _load_run_config(path) -> tuple[LossConfig, list[float] | None, dict]:
         loss_entry(name)
         if not isinstance(overrides, dict):
             raise ValidationError(f"{path}: params for {name!r} must be an object")
+        resolve_params(name, overrides)
     return cfg, spacing, params
 
 
@@ -126,6 +127,7 @@ def _cmd_eval(args) -> int:
 
     rows = []
     any_degenerate = False
+    ctx = None  # the distance maps of g, shared by every loss that takes them
     for name in names:
         entry = loss_entry(name)
         params = resolve_params(name, params_over.get(name))
@@ -140,8 +142,10 @@ def _cmd_eval(args) -> int:
                 )
                 continue
             raise ValidationError(f"loss {name!r} is binary-only, got {num_classes} classes")
+        if entry.maps and ctx is None:
+            ctx = BoundaryContext(g, spacing)
         try:
-            result = prepare(name, g, cfg=cfg, params=params, spacing=spacing)(pred)
+            result = prepare(name, g, cfg, params, spacing, context=ctx)(pred)
         except DegenerateInputError as exc:
             rows.append({"name": name, "params": params, "error": str(exc), "degenerate": True})
             any_degenerate = True

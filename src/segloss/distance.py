@@ -249,6 +249,60 @@ def level_set(mask: np.ndarray, spacing=None) -> np.ndarray:
     return np.where(m, -d, d)
 
 
+class BoundaryContext:
+    """Signed distance maps (level_set) of a ground truth's class channels,
+    thresholded at 0.5: every boundary-distance map of it derives from these.
+    Each class's phi is computed on first use and kept, so losses sharing a
+    context transform each class once, and a class none asks for never.
+    ``phi`` and ``dist`` = |phi| are dims + (C,) stacks; ``degenerate`` marks
+    channels with no boundary, whose phi is the signed sentinel."""
+
+    def __init__(self, g: np.ndarray, spacing=None):
+        g = np.asarray(g, dtype=np.float64)
+        if g.ndim < 2 or g.shape[-1] < 2:
+            raise ValidationError(f"expected dims + (C>=2,) ground truth, got shape {g.shape}")
+        self.spacing = as_spacing(spacing, g.ndim - 1)
+        self.masks = g >= 0.5
+        flat = self.masks.reshape(-1, g.shape[-1])
+        self.degenerate = tuple(bool(d) for d in flat.all(axis=0) | ~flat.any(axis=0))
+        self._phi = np.empty(g.shape)
+        self._done = [False] * g.shape[-1]
+
+    def signed(self, c: int) -> np.ndarray:
+        """phi of class channel c."""
+        if not self._done[c]:
+            self._phi[..., c] = level_set(self.masks[..., c], self.spacing)
+            self._done[c] = True
+        return self._phi[..., c]
+
+    @property
+    def phi(self) -> np.ndarray:
+        for c in range(len(self._done)):
+            self.signed(c)
+        return self._phi
+
+    @property
+    def dist(self) -> np.ndarray:
+        return np.abs(self.phi)
+
+    def penalty_map(self) -> np.ndarray:
+        """boundary_penalty_map of the ground truth: 1 - |phi| / max|phi| per
+        class, zero on degenerate classes."""
+        out = np.zeros(self._phi.shape)
+        for c, degenerate in enumerate(self.degenerate):
+            if not degenerate:
+                d = np.abs(self.signed(c))
+                out[..., c] = 1.0 - d / d.max()
+        return out
+
+    def foreground_distances(self, tag: str = "gt") -> tuple[np.ndarray, tuple[str, ...]]:
+        """|phi| of classes 1..C-1 in slots 0..C-2 (the sentinel on a
+        degenerate class), and a flag per degenerate class."""
+        fg = range(1, len(self._done))
+        flags = tuple(f"degenerate-{tag}-class-{c}" for c in fg if self.degenerate[c])
+        return np.abs(np.stack([self.signed(c) for c in fg], axis=-1)), flags
+
+
 def boundary_penalty_map(g_onehot: np.ndarray, spacing=None) -> np.ndarray:
     """Per-class penalty in [0, 1], largest right at each class boundary.
 
@@ -256,20 +310,7 @@ def boundary_penalty_map(g_onehot: np.ndarray, spacing=None) -> np.ndarray:
     its own maximum: D = 1 - dt / max(dt). Degenerate channels (no
     boundary) get zero penalty. The map is scale-invariant in the spacing.
     """
-    g = np.asarray(g_onehot, dtype=np.float64)
-    if g.ndim < 2 or g.shape[-1] < 2:
-        raise ValidationError(f"expected dims + (C>=2,) one-hot, got shape {g.shape}")
-    sp = as_spacing(spacing, g.ndim - 1)
-    out = np.zeros_like(g)
-    for c in range(g.shape[-1]):
-        mask = g[..., c] >= 0.5
-        if mask.all() or not mask.any():
-            continue  # degenerate class: zero penalty
-        dt = unsigned_boundary_distance(mask, sp)
-        peak = dt.max()
-        if peak > 0:
-            out[..., c] = 1.0 - dt / peak
-    return out
+    return BoundaryContext(g_onehot, spacing).penalty_map()
 
 
 def hausdorff_exact(g_mask: np.ndarray, s_mask: np.ndarray, spacing=None) -> float:

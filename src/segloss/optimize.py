@@ -7,6 +7,7 @@ actually is. Plain gradient descent, deterministic for a given seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +68,14 @@ def optimize(
     warm start); every step pulls the loss gradient back through softmax.
     Deterministic for fixed (seed, loss, lr, steps).
     """
-    if not (isinstance(steps, int) and steps >= 1):
+    try:
+        n = operator.index(steps)
+    except TypeError:
+        n = 0
+    if isinstance(steps, bool) or n < 1:
         raise ValidationError(f"steps must be a positive integer, got {steps!r}")
-    if not (lr > 0 and np.isfinite(lr)):
+    steps = n
+    if isinstance(lr, bool) or not (lr > 0 and np.isfinite(lr)):
         raise ValidationError(f"lr must be positive and finite, got {lr!r}")
     labels = np.asarray(gt_labels)
     if num_classes is None:
@@ -94,13 +100,17 @@ def optimize(
     sentinel = sentinel_value(labels.shape, sp)
     dist_to_gt = edt(gt_fg, sp) if gt_fg.any() else None
 
+    last = [None, None]  # the last argmax mask and its (dice, hausdorff)
+
     def measure(s: np.ndarray) -> tuple[float, float]:
         pred_fg = s.argmax(axis=-1) > 0
-        dice = dice_coefficient(gt_fg, pred_fg)
-        if dist_to_gt is None or not pred_fg.any():
-            return dice, sentinel
-        dist_to_pred = edt(pred_fg, sp)
-        return dice, float(max(dist_to_pred[gt_fg].max(), dist_to_gt[pred_fg].max()))
+        if not np.array_equal(pred_fg, last[0]):
+            hd = sentinel
+            if dist_to_gt is not None and pred_fg.any():
+                dist_to_pred = edt(pred_fg, sp)
+                hd = float(max(dist_to_pred[gt_fg].max(), dist_to_gt[pred_fg].max()))
+            last[:] = pred_fg, (dice_coefficient(gt_fg, pred_fg), hd)
+        return last[1]
 
     rows = []
     s = softmax(z)

@@ -1,14 +1,16 @@
 """Name-indexed access to every loss kernel, with default parameters.
 
-prepare() binds a loss to a fixed ground truth — precomputing any
-ground-truth-side maps (penalty maps, level sets, boundary distances) —
-and returns an evaluator ``s -> LossResult``. prepare_frozen() additionally
-pins the prediction-side selection/distance maps at a reference prediction,
-which is the branch a finite-difference probe has to stay on.
+prepare() binds a loss to a fixed ground truth — taking any
+ground-truth-side maps (penalty maps, level sets, boundary distances) from
+one BoundaryContext, which callers may share across losses — and returns
+an evaluator ``s -> LossResult``. prepare_frozen() additionally pins the
+prediction-side selection/distance maps at a reference prediction, which
+is the branch a finite-difference probe has to stay on.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +22,7 @@ from . import distribution as _distribution
 from . import region as _region
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult
-from .distance import boundary_penalty_map
+from .distance import BoundaryContext, as_spacing
 from .errors import ValidationError
 
 Evaluator = Callable[[np.ndarray], LossResult]
@@ -33,122 +35,91 @@ class LossEntry:
     make: Callable
     freeze: Callable | None = None
     binary_only: bool = False
+    maps: bool = False  # takes the ground truth's distance maps from a BoundaryContext
 
 
-def _make_ce(g, cfg, p, spacing):
-    return lambda s: _distribution.ce(g, s, cfg)
+def _call(module, kernel: str):
+    """Maker for a loss computed as module.kernel(g, s, *params, cfg), its
+    parameters in the order of its defaults. Like every kernel here, it is
+    looked up on the module at each call."""
+
+    def make(g, cfg, p, ctx):
+        args = tuple(p.values())
+        return lambda s: getattr(module, kernel)(g, s, *args, cfg)
+
+    return make
 
 
-def _make_wce(g, cfg, p, spacing):
+def _make_wce(g, cfg, p, ctx):
     w = p["weights"]
     w = np.ones(g.shape[-1]) if w is None else np.asarray(w, dtype=np.float64)
     return lambda s: _distribution.wce(g, s, w, cfg)
 
 
-def _make_topk(g, cfg, p, spacing):
-    return lambda s: _distribution.topk(g, s, p["t"], cfg)
-
-
-def _freeze_topk(g, s0, cfg, p, spacing):
+def _freeze_topk(g, s0, cfg, p, ctx):
     keep = _distribution.topk_keep_set(g, s0, p["t"], cfg)
     return lambda s: _distribution.topk(g, s, p["t"], cfg, keep=keep)
 
 
-def _make_focal(g, cfg, p, spacing):
-    return lambda s: _distribution.focal(g, s, p["gamma"], cfg)
-
-
-def _make_dpce(g, cfg, p, spacing):
-    penalty = boundary_penalty_map(g, spacing)
+def _make_dpce(g, cfg, p, ctx):
+    penalty = ctx.penalty_map()
     return lambda s: _distribution.dpce(g, s, penalty, cfg)
 
 
-def _make_ss(g, cfg, p, spacing):
-    return lambda s: _region.ss_loss(g, s, p["w"], cfg)
-
-
-def _make_dice(g, cfg, p, spacing):
-    return lambda s: _region.dice_loss(g, s, cfg)
-
-
-def _make_iou(g, cfg, p, spacing):
-    return lambda s: _region.iou_loss(g, s, cfg)
-
-
-def _make_tversky(g, cfg, p, spacing):
-    return lambda s: _region.tversky_loss(g, s, p["alpha"], p["beta"], cfg)
-
-
-def _make_generalized_dice(g, cfg, p, spacing):
-    return lambda s: _region.generalized_dice_loss(g, s, cfg)
-
-
-def _make_focal_tversky(g, cfg, p, spacing):
-    return lambda s: _region.focal_tversky_loss(g, s, p["alpha"], p["beta"], p["gamma"], cfg)
-
-
-def _make_asymmetric(g, cfg, p, spacing):
-    return lambda s: _region.asymmetric_loss(g, s, p["beta"], cfg)
-
-
-def _make_penalty_gd(g, cfg, p, spacing):
-    return lambda s: _region.penalty_gd_loss(g, s, p["k"], cfg)
-
-
-def _make_boundary(g, cfg, p, spacing):
-    ctx = _boundary.boundary_context(g, spacing)
+def _make_boundary(g, cfg, p, ctx):
     return lambda s: _boundary.boundary_loss(ctx, s, cfg)
 
 
-def _make_hd(g, cfg, p, spacing):
-    gt_dist = _boundary.foreground_boundary_distances(g, spacing, tag="gt")
-    return lambda s: _boundary.hd_loss(g, s, cfg, spacing=spacing, gt_dist=gt_dist)
+def _make_hd(g, cfg, p, ctx):
+    gt_dist = ctx.foreground_distances()
+    last = [None, None]  # the last thresholded foreground masks and their maps
+
+    def evaluator(s):
+        s = np.asarray(s, dtype=np.float64)
+        pred_dist = None  # hd_loss rejects a stack without pinned maps
+        if s.shape == g.shape:
+            masks = s[..., 1:] >= 0.5
+            if not np.array_equal(masks, last[0]):
+                last[:] = masks, _boundary.foreground_boundary_distances(s, ctx.spacing, "pred")
+            pred_dist = last[1]
+        return _boundary.hd_loss(g, s, cfg, ctx.spacing, gt_dist=gt_dist, pred_dist=pred_dist)
+
+    return evaluator
 
 
-def _freeze_hd(g, s0, cfg, p, spacing):
-    gt_dist = _boundary.foreground_boundary_distances(g, spacing, tag="gt")
-    pred_dist = _boundary.foreground_boundary_distances(s0, spacing, tag="pred")
+def _freeze_hd(g, s0, cfg, p, ctx):
+    gt_dist = ctx.foreground_distances()
+    pred_dist = _boundary.foreground_boundary_distances(s0, ctx.spacing, tag="pred")
     return lambda s: _boundary.hd_loss(
-        g, s, cfg, spacing=spacing, gt_dist=gt_dist, pred_dist=pred_dist
-    )
-
-
-def _make_combo(g, cfg, p, spacing):
-    return lambda s: _compound.combo_loss(g, s, p["alpha"], p["beta"], cfg)
-
-
-def _make_ell(g, cfg, p, spacing):
-    return lambda s: _compound.ell_loss(
-        g,
-        s,
-        w_dice=p["w_dice"],
-        w_ce=p["w_ce"],
-        gamma_dice=p["gamma_dice"],
-        gamma_ce=p["gamma_ce"],
-        class_weights=p["class_weights"],
-        cfg=cfg,
+        g, s, cfg, spacing=ctx.spacing, gt_dist=gt_dist, pred_dist=pred_dist
     )
 
 
 REGISTRY: dict[str, LossEntry] = {
-    "ce": LossEntry("distribution", {}, _make_ce),
+    "ce": LossEntry("distribution", {}, _call(_distribution, "ce")),
     "wce": LossEntry("distribution", {"weights": None}, _make_wce),
-    "topk": LossEntry("distribution", {"t": 0.5}, _make_topk, freeze=_freeze_topk),
-    "focal": LossEntry("distribution", {"gamma": 2.0}, _make_focal),
-    "dpce": LossEntry("distribution", {}, _make_dpce),
-    "ss": LossEntry("region", {"w": 0.5}, _make_ss),
-    "dice": LossEntry("region", {}, _make_dice),
-    "iou": LossEntry("region", {}, _make_iou),
-    "tversky": LossEntry("region", {"alpha": 0.3, "beta": 0.7}, _make_tversky),
-    "generalized_dice": LossEntry("region", {}, _make_generalized_dice),
-    "focal_tversky": LossEntry(
-        "region", {"alpha": 0.3, "beta": 0.7, "gamma": 4.0 / 3.0}, _make_focal_tversky
+    "topk": LossEntry(
+        "distribution", {"t": 0.5}, _call(_distribution, "topk"), freeze=_freeze_topk
     ),
-    "asymmetric": LossEntry("region", {"beta": 1.5}, _make_asymmetric),
-    "penalty_gd": LossEntry("region", {"k": 2.5}, _make_penalty_gd),
-    "boundary": LossEntry("boundary", {}, _make_boundary),
-    "hd": LossEntry("boundary", {}, _make_hd, freeze=_freeze_hd),
-    "combo": LossEntry("compound", {"alpha": 0.5, "beta": 0.5}, _make_combo, binary_only=True),
+    "focal": LossEntry("distribution", {"gamma": 2.0}, _call(_distribution, "focal")),
+    "dpce": LossEntry("distribution", {}, _make_dpce, maps=True),
+    "ss": LossEntry("region", {"w": 0.5}, _call(_region, "ss_loss")),
+    "dice": LossEntry("region", {}, _call(_region, "dice_loss")),
+    "iou": LossEntry("region", {}, _call(_region, "iou_loss")),
+    "tversky": LossEntry("region", {"alpha": 0.3, "beta": 0.7}, _call(_region, "tversky_loss")),
+    "generalized_dice": LossEntry("region", {}, _call(_region, "generalized_dice_loss")),
+    "focal_tversky": LossEntry(
+        "region",
+        {"alpha": 0.3, "beta": 0.7, "gamma": 4.0 / 3.0},
+        _call(_region, "focal_tversky_loss"),
+    ),
+    "asymmetric": LossEntry("region", {"beta": 1.5}, _call(_region, "asymmetric_loss")),
+    "penalty_gd": LossEntry("region", {"k": 2.5}, _call(_region, "penalty_gd_loss")),
+    "boundary": LossEntry("boundary", {}, _make_boundary, maps=True),
+    "hd": LossEntry("boundary", {}, _make_hd, freeze=_freeze_hd, maps=True),
+    "combo": LossEntry(
+        "compound", {"alpha": 0.5, "beta": 0.5}, _call(_compound, "combo_loss"), binary_only=True
+    ),
     "ell": LossEntry(
         "compound",
         {
@@ -158,7 +129,7 @@ REGISTRY: dict[str, LossEntry] = {
             "gamma_ce": 0.3,
             "class_weights": None,
         },
-        _make_ell,
+        _call(_compound, "ell_loss"),
     ),
 }
 
@@ -176,8 +147,23 @@ def loss_entry(name: str) -> LossEntry:
         ) from None
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _of_kind(default, value) -> bool:
+    """A number where the default is one; None or a flat list of numbers
+    where the default is None (per-class weights)."""
+    if default is not None:
+        return _is_number(value)
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = value.tolist()
+    return value is None or isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
 def resolve_params(name: str, overrides: dict | None = None) -> dict:
-    """Defaults for a loss merged with caller overrides; unknown keys rejected."""
+    """Defaults for a loss merged with caller overrides; unknown keys, and
+    values not of their default's kind (see _of_kind), are rejected."""
     entry = loss_entry(name)
     params = dict(entry.defaults)
     for key, value in (overrides or {}).items():
@@ -186,8 +172,30 @@ def resolve_params(name: str, overrides: dict | None = None) -> dict:
                 f"loss {name!r} takes no parameter {key!r}; "
                 f"allowed: {', '.join(params) if params else '(none)'}"
             )
+        if not _of_kind(entry.defaults[key], value):
+            kind = "null or a flat list of numbers" if entry.defaults[key] is None else "a number"
+            raise ValidationError(f"loss {name!r} parameter {key!r} must be {kind}, got {value!r}")
         params[key] = value
     return params
+
+
+def _bind(name, g, params, spacing, context):
+    """Look up and check a loss; its parameters; and, if it takes distance
+    maps, the BoundaryContext to take them from."""
+    entry = loss_entry(name)
+    g = np.asarray(g, dtype=np.float64)
+    if entry.binary_only and g.shape[-1] != 2:
+        raise ValidationError(f"loss {name!r} is binary-only, got {g.shape[-1]} classes")
+    p = resolve_params(name, params)
+    if not entry.maps:
+        return entry, g, p, None
+    if context is None:
+        return entry, g, p, BoundaryContext(g, spacing)
+    if context.spacing != as_spacing(spacing, g.ndim - 1) or not np.array_equal(
+        context.masks, g >= 0.5
+    ):
+        raise ValidationError("context was built for another ground truth or spacing")
+    return entry, g, p, context
 
 
 def prepare(
@@ -196,13 +204,19 @@ def prepare(
     cfg: LossConfig = DEFAULT_CONFIG,
     params: dict | None = None,
     spacing=None,
+    context: BoundaryContext | None = None,
 ) -> Evaluator:
-    """Bind a loss to a ground truth; returns an evaluator over predictions."""
-    entry = loss_entry(name)
-    g = np.asarray(g, dtype=np.float64)
-    if entry.binary_only and g.shape[-1] != 2:
-        raise ValidationError(f"loss {name!r} is binary-only, got {g.shape[-1]} classes")
-    return entry.make(g, cfg, resolve_params(name, params), spacing)
+    """Bind a loss to a ground truth; returns an evaluator over predictions.
+
+    A loss that needs distance maps of ``g`` (dpce, boundary, hd) takes them
+    from ``context``, a BoundaryContext of ``g`` at ``spacing``; one context
+    passed to several prepare calls computes each map once. Without one, a
+    fresh context serves this loss alone. The hd evaluator also keeps the
+    last prediction's thresholded masks and their maps, and computes maps
+    again only when those masks change.
+    """
+    entry, g, p, ctx = _bind(name, g, params, spacing, context)
+    return entry.make(g, cfg, p, ctx)
 
 
 def prepare_frozen(
@@ -215,15 +229,10 @@ def prepare_frozen(
 ) -> Evaluator:
     """Like prepare, but prediction-side selection/distance maps are pinned
     at s0 so the returned evaluator is smooth around it."""
-    entry = loss_entry(name)
-    g = np.asarray(g, dtype=np.float64)
-    s0 = np.asarray(s0, dtype=np.float64)
-    if entry.binary_only and g.shape[-1] != 2:
-        raise ValidationError(f"loss {name!r} is binary-only, got {g.shape[-1]} classes")
-    p = resolve_params(name, params)
+    entry, g, p, ctx = _bind(name, g, params, spacing, None)
     if entry.freeze is not None:
-        return entry.freeze(g, s0, cfg, p, spacing)
-    return entry.make(g, cfg, p, spacing)
+        return entry.freeze(g, np.asarray(s0, dtype=np.float64), cfg, p, ctx)
+    return entry.make(g, cfg, p, ctx)
 
 
 def evaluate(

@@ -109,6 +109,47 @@ class TestEval:
                        "--config", bad) == 2
         assert "no parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"topk": {"t": "x"}},
+            {"focal": {"gamma": "2"}},
+            {"focal": {"gamma": True}},
+            {"tversky": {"alpha": None}},
+            {"ss": {"w": [1]}},
+            {"penalty_gd": {"k": "a"}},
+            {"wce": {"weights": "ab"}},
+            {"wce": {"weights": [1, "a"]}},
+            {"wce": {"weights": [[1, 2]]}},
+            {"ell": {"class_weights": "x"}},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_malformed_loss_param_is_exit_2(self, fixture_files, tmp_path, capsys, params,
+                                             command):
+        gt, pred, _ = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"params": params}))
+        name = next(iter(params))
+        args = ["--pred", pred] if command == "eval" else ["--steps", 1, "--lr", 1.0]
+        assert run_cli(command, "--gt", gt, "--loss", name, "--config", bad, *args) == 2
+        err = capsys.readouterr().err
+        assert f"loss {name!r} parameter" in err and "must be" in err
+
+    def test_loss_params_of_the_right_kind_are_taken(self, fixture_files, tmp_path, capsys):
+        gt, pred, _ = fixture_files
+        good = tmp_path / "good.json"
+        good.write_text('{"params": {"focal": {"gamma": 2}, "wce": {"weights": null},'
+                        ' "ell": {"class_weights": [1, 0.5]}}}')
+        assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", "focal,wce,ell",
+                       "--config", good) == 0
+        rows = json.loads(capsys.readouterr().out)["losses"]
+        assert [row["params"] for row in rows] == [
+            {"gamma": 2}, {"weights": None},
+            {"w_dice": 0.8, "w_ce": 0.2, "gamma_dice": 0.3, "gamma_ce": 0.3,
+             "class_weights": [1, 0.5]},
+        ]
+
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert run_cli("eval", "--gt", tmp_path / "no.ntf", "--pred", tmp_path / "no2.ntf",
                        "--loss", "ce") == 2

@@ -88,6 +88,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             optimize("dice", gt, steps=3, lr=np.inf)
 
+    @pytest.mark.parametrize("steps, lr", [(True, 1.0), (3, True), (False, 1.0), (3.0, 1.0)])
+    def test_rejects_bool_and_float_steps_and_bool_lr(self, steps, lr):
+        with pytest.raises(ValidationError):
+            optimize("dice", np.array([1, 0, 0, 1]), steps=steps, lr=lr)
+
+    def test_accepts_any_integer_steps(self):
+        traj = optimize("dice", np.array([1, 0, 0, 1]), steps=np.int64(3), lr=0.5, seed=1)
+        np.testing.assert_array_equal(traj.steps, np.arange(4))
+        assert type(traj.metadata["steps"]) is int
+
     def test_rejects_unknown_loss(self):
         with pytest.raises(ValidationError, match="available"):
             optimize("nope", np.array([1, 0]), steps=1, lr=1.0)
