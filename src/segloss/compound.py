@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, check_pair, class_sums, grid_sum, included, per_prediction
+from .core import LossResult, check_pair, class_sums, grid_sum, included, over_classes, per_prediction
 from .errors import ValidationError
 
 
@@ -112,13 +112,13 @@ def ell_loss(
     grad[..., sl] += (w_dice / n_cls) * power * d_x
 
     # CE branch: mean over pixels of w[true] * (-log s_true)^gamma_ce.
-    has_true = gi.sum(axis=-1) > 0
+    has_true = over_classes(np.add, gi)[..., 0] > 0
     n_eff = int(has_true.sum())
     if n_eff == 0:
         raise ValidationError("no pixel has an included true class")
-    s_true = np.maximum((gi * si).sum(axis=-1), cfg.log_clamp)
+    s_true = np.maximum(over_classes(np.add, gi * si)[..., 0], cfg.log_clamp)
     y = -np.log(s_true)
-    w_pix = (gi * cw[sl]).sum(axis=-1)  # weight of each pixel's true class
+    w_pix = over_classes(np.add, gi * cw[sl])[..., 0]  # weight of each pixel's true class
     ce_pix = w_pix * np.where(has_true, y, 0.0) ** gamma_ce * has_true
     ce_term = grid_sum(ce_pix[..., None], g.ndim) / n_eff
     y_pow = _power_derivative(y, gamma_ce)

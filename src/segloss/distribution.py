@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, grid_sum, included, per_prediction
+from .core import LossResult, grid_sum, included, over_classes, per_prediction
 from .errors import ValidationError
 
 
@@ -70,8 +70,8 @@ def topk_keep_set(
     probability below the threshold), as a boolean grid."""
     g, s, sl = included(g, s, cfg)
     gi = g[..., sl]
-    s_true = (gi * s[..., sl]).sum(axis=-1)
-    return (gi.sum(axis=-1) > 0) & (s_true < threshold)
+    s_true = over_classes(np.add, gi * s[..., sl])[..., 0]
+    return (over_classes(np.add, gi)[..., 0] > 0) & (s_true < threshold)
 
 
 def topk(
@@ -93,8 +93,8 @@ def topk(
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
     gi = g[..., sl]
-    s_true = (gi * s[..., sl]).sum(axis=-1)
-    has_true = gi.sum(axis=-1) > 0
+    s_true = over_classes(np.add, gi * s[..., sl])[..., 0]
+    has_true = over_classes(np.add, gi)[..., 0] > 0
     if keep is None:
         if s.ndim > g.ndim:
             raise ValidationError("topk on a prediction stack needs a pinned keep set")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import registry
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import one_hot
+from .core import one_hot, over_classes
 from .errors import ValidationError
 
 # Relative error denominators are floored here so near-zero coordinates
@@ -192,7 +192,7 @@ def random_instance(
         raise RuntimeError("could not draw an instance covering every class")
     g = one_hot(labels, num_classes)
     u = rng.uniform(0.05, 1.0, size=shape + (num_classes,))
-    s = u / u.sum(axis=-1, keepdims=True)
+    s = u / over_classes(np.add, u)
     return g, s
 
 

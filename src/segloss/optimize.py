@@ -15,7 +15,7 @@ import numpy as np
 from . import registry
 from .boundary import dice_coefficient
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import one_hot, softmax, softmax_vjp
+from .core import one_hot, over_classes, softmax, softmax_vjp
 from .distance import as_spacing, edt, sentinel_value
 from .errors import SeglossError, ValidationError
 
@@ -103,7 +103,8 @@ def optimize(
     last = [None, None]  # the last argmax mask and its (dice, hausdorff)
 
     def measure(s: np.ndarray) -> tuple[float, float]:
-        pred_fg = s.argmax(axis=-1) > 0
+        # argmax > 0; argmax takes the first of tied classes, so class 0 must be beaten
+        pred_fg = over_classes(np.maximum, s[..., 1:])[..., 0] > s[..., 0]
         if not np.array_equal(pred_fg, last[0]):
             hd = sentinel
             if dist_to_gt is not None and pred_fg.any():

@@ -21,7 +21,7 @@ from . import compound as _compound
 from . import distribution as _distribution
 from . import region as _region
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult
+from .core import LossResult, check_pair
 from .distance import BoundaryContext, as_spacing
 from .errors import ValidationError
 
@@ -183,7 +183,7 @@ def _bind(name, g, params, spacing, context):
     """Look up and check a loss; its parameters; and, if it takes distance
     maps, the BoundaryContext to take them from."""
     entry = loss_entry(name)
-    g = np.asarray(g, dtype=np.float64)
+    g, _ = check_pair(g, g)  # the shape check every kernel makes, before g.shape[-1]
     if entry.binary_only and g.shape[-1] != 2:
         raise ValidationError(f"loss {name!r} is binary-only, got {g.shape[-1]} classes")
     p = resolve_params(name, params)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import validate_labels, validate_prob
+from .core import over_classes, validate_labels, validate_prob
 from .errors import TensorFileError, ValidationError
 
 MAGIC = b"NTF1"
@@ -147,7 +147,7 @@ def read_tensor(path, expect: str = "any", num_classes: int | None = None) -> np
             raise TensorFileError(f"{name}: {exc}", "simplex") from exc
         if code == 2:
             # float32 storage: renormalize per pixel after the looser check
-            s = s / s.sum(axis=-1, keepdims=True)
+            s = s / over_classes(np.add, s)
         return s
     return arr.copy()
 

@@ -116,6 +116,15 @@ class TestSoftmax:
         with pytest.raises(ValidationError):
             softmax(np.array([[np.inf, 0.0]]))
 
+    def test_rejects_a_missing_or_empty_class_axis(self):
+        for shape in [(3,), (3, 0), (2, 2, 0)]:
+            with pytest.raises(ValidationError, match="class axis"):
+                softmax(np.zeros(shape))
+
+    def test_one_class_gives_ones(self):
+        s = softmax(np.random.default_rng(0).standard_normal((4, 3, 1)) * 100.0)
+        np.testing.assert_array_equal(s, np.ones((4, 3, 1)))
+
     def test_vjp_matches_directional_derivative(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(6, 3))
