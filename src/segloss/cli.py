@@ -50,17 +50,10 @@ def _load_run_config(path) -> tuple[LossConfig, list[float] | None, dict]:
             f"{path}: unknown config keys: {', '.join(unknown)}; "
             f"allowed: {', '.join(_CONFIG_KEYS)}"
         )
-    kwargs = {}
-    for key in ("epsilon", "log_clamp"):
-        if key in data:
-            if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-                raise ValidationError(f"{path}: {key} must be a number")
-            kwargs[key] = float(data[key])
-    if "include_background" in data:
-        if not isinstance(data["include_background"], bool):
-            raise ValidationError(f"{path}: include_background must be true/false")
-        kwargs["include_background"] = data["include_background"]
-    cfg = LossConfig(**kwargs)
+    try:
+        cfg = LossConfig(**{k: v for k, v in data.items() if k not in ("spacing", "params")})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     spacing = data.get("spacing")
     if spacing is not None:
         if not isinstance(spacing, list) or not spacing or not all(
@@ -131,17 +124,15 @@ def _cmd_eval(args) -> int:
     for name in names:
         entry = loss_entry(name)
         params = resolve_params(name, params_over.get(name))
-        if entry.binary_only and num_classes != 2:
-            if was_all:
-                rows.append(
-                    {
-                        "name": name,
-                        "params": params,
-                        "skipped": f"binary-only loss skipped for {num_classes} classes",
-                    }
-                )
-                continue
-            raise ValidationError(f"loss {name!r} is binary-only, got {num_classes} classes")
+        if was_all and entry.binary_only and num_classes != 2:
+            rows.append(
+                {
+                    "name": name,
+                    "params": params,
+                    "skipped": f"binary-only loss skipped for {num_classes} classes",
+                }
+            )
+            continue
         if entry.maps and ctx is None:
             ctx = BoundaryContext(g, spacing)
         try:
@@ -185,38 +176,39 @@ def _cmd_eval(args) -> int:
     return 3 if any_degenerate else 0
 
 
+def _report_checks(rows: list[tuple[str, bool, str]], noun: str) -> int:
+    """Print "name: PASS|FAIL detail" for each (name, passed, detail) row.
+    Returns exit code 1, after counting the failures on stderr, if any failed."""
+    failures = 0
+    for name, passed, detail in rows:
+        print(f"{name}: {'PASS' if passed else 'FAIL'} {detail}")
+        failures += 0 if passed else 1
+    if failures:
+        print(f"{failures} of {len(rows)} {noun} failed", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_gradcheck(args) -> int:
     names = None if args.loss == "all" else _parse_losses(args.loss)[0]
     reports = run_suite(names=names, trials=args.trials, tol=args.tol, h=args.h, seed=args.seed)
-    failures = 0
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(
-            f"{rep.loss_name}: {status} max_rel_err={rep.max_rel_err:.3e} "
-            f"(tol {rep.tolerance:g}, worst index {rep.worst_index})"
-        )
-        failures += 0 if rep.passed else 1
-    if failures:
-        print(f"{failures} of {len(reports)} losses failed", file=sys.stderr)
-        return 1
-    return 0
+    rows = [
+        (rep.loss_name, rep.passed, f"max_rel_err={rep.max_rel_err:.3e} "
+         f"(tol {rep.tolerance:g}, worst index {rep.worst_index})")
+        for rep in reports
+    ]
+    return _report_checks(rows, "losses")
 
 
 def _cmd_relations(args) -> int:
     checks = run_identity_checks(trials=args.trials, seed=args.seed)
     checks += run_connection_checks()
-    failures = 0
-    for chk in checks:
-        status = "PASS" if chk.passed else "FAIL"
-        print(
-            f"{chk.name}: {status} max_abs_err={chk.max_abs_err:.3e} "
-            f"(tol {chk.tolerance:g}, {chk.cases} cases)"
-        )
-        failures += 0 if chk.passed else 1
-    if failures:
-        print(f"{failures} of {len(checks)} relation checks failed", file=sys.stderr)
-        return 1
-    return 0
+    rows = [
+        (chk.name, chk.passed, f"max_abs_err={chk.max_abs_err:.3e} "
+         f"(tol {chk.tolerance:g}, {chk.cases} cases)")
+        for chk in checks
+    ]
+    return _report_checks(rows, "relation checks")
 
 
 def _cmd_optimize(args) -> int:

@@ -12,15 +12,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult, check_pair, class_sums, grid_sum, included, over_classes, per_prediction
+from .core import _power_derivative
 from .errors import ValidationError
-
-
-def _power_derivative(base: np.ndarray, gamma: float) -> np.ndarray:
-    """d(base**gamma)/d(base), with the gamma < 1 singularity at 0 taken as 0."""
-    if gamma >= 1.0:
-        return gamma * base ** (gamma - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(base > 0, gamma * base ** (gamma - 1.0), 0.0)
 
 
 def combo_loss(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ValidationError
 
@@ -14,7 +16,9 @@ class LossConfig:
     epsilon stabilizes overlap quotients (added to numerator and denominator
     of ratio-style losses), log_clamp floors probabilities before any
     logarithm, and include_background controls whether class 0 takes part
-    in class sums and means.
+    in class sums and means. Library and CLI callers alike get the checks
+    below: epsilon in (0, inf) and log_clamp in (0, 1), both stored as
+    floats, and include_background a bool.
     """
 
     epsilon: float = 1e-6
@@ -22,10 +26,15 @@ class LossConfig:
     include_background: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, float) and self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be a positive float, got {self.epsilon!r}")
-        if not (isinstance(self.log_clamp, float) and self.log_clamp > 0.0):
-            raise ValidationError(f"log_clamp must be a positive float, got {self.log_clamp!r}")
+        for name, top in (("epsilon", math.inf), ("log_clamp", 1.0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < top:
+                raise ValidationError(f"{name} must be a number in (0, {top:g}), got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.include_background, bool):
+            raise ValidationError(
+                f"include_background must be a bool, got {self.include_background!r}"
+            )
 
     def first_class(self) -> int:
         """Index of the first class included in sums (0 or 1)."""

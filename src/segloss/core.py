@@ -122,6 +122,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / over_classes(np.add, e)
 
 
+def _power_derivative(base: np.ndarray, gamma: float) -> np.ndarray:
+    """d(base**gamma)/d(base), with the gamma < 1 singularity at 0 taken as 0."""
+    if gamma >= 1.0:
+        return gamma * base ** (gamma - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(base > 0, gamma * base ** (gamma - 1.0), 0.0)
+
+
 def softmax_vjp(s: np.ndarray, grad_s: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax outputs back to the logits.
 

@@ -85,19 +85,27 @@ _BLOCK_VALUES = 1 << 18
 _TILE = 64
 
 
+def _nearest_set(flags: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Along ``axis``, the index of the nearest set entry at or before each
+    position (-1 if none) and at or after it (n if none): forward and
+    backward scans that carry the index of the last set entry seen."""
+    n = flags.shape[axis]
+    idx = np.arange(n).reshape((n,) + (1,) * (flags.ndim - 1 - axis))
+    before = np.maximum.accumulate(np.where(flags, idx, -1), axis=axis)
+    after = np.minimum.accumulate(np.flip(np.where(flags, idx, n), axis), axis=axis)
+    return before, np.flip(after, axis)
+
+
 def _scan_first_axis(src: np.ndarray, step: float) -> np.ndarray:
     """Squared distance along axis 0 to the nearest source in the same column.
 
-    Forward and backward scans carry the index of the last source seen;
-    columns with no source on one side read the appended inf position.
+    Columns with no source on one side read the appended inf position.
     """
     n = src.shape[0]
-    idx = np.arange(n).reshape((n,) + (1,) * (src.ndim - 1))
     pos = np.arange(n, dtype=np.float64) * step
     ext = np.append(pos, np.inf)  # index -1 and index n both read inf
-    before = np.maximum.accumulate(np.where(src, idx, -1), axis=0)
-    after = np.minimum.accumulate(np.where(src, idx, n)[::-1], axis=0)[::-1]
-    here = pos.reshape(idx.shape)
+    before, after = _nearest_set(src, 0)
+    here = pos.reshape((n,) + (1,) * (src.ndim - 1))
     return np.minimum((here - ext[before]) ** 2, (ext[after] - here) ** 2)
 
 
@@ -170,10 +178,7 @@ def _reach(rows: np.ndarray, pos: np.ndarray, tiles: np.ndarray) -> np.ndarray:
     bound = np.minimum(np.maximum.reduceat(rows, tiles, axis=1), low + span)
     empty = np.isinf(low)
     if empty.any():
-        idx = np.arange(n)
-        finite = np.isfinite(rows)
-        before = np.maximum.accumulate(np.where(finite, idx, -1), axis=1)
-        after = np.minimum.accumulate(np.where(finite, idx, n)[:, ::-1], axis=1)[:, ::-1]
+        before, after = _nearest_set(np.isfinite(rows), 1)
         edge = np.ones((rows.shape[0], 1), np.intp)
         left = np.hstack([-edge, before[:, tiles[1:] - 1]])
         right = np.hstack([after[:, ends[:-1]], n * edge])
@@ -218,19 +223,6 @@ def edt_bruteforce(source: np.ndarray, spacing=None) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def unsigned_boundary_distance(mask: np.ndarray, spacing=None) -> np.ndarray:
-    """Distance to the opposite region: inside pixels measure to the nearest
-    background pixel, outside pixels to the nearest foreground pixel.
-
-    Degenerate masks (no boundary) get the sentinel distance everywhere.
-    """
-    m = as_mask(mask)
-    sp = as_spacing(spacing, m.ndim)
-    if m.all() or not m.any():
-        return np.full(m.shape, sentinel_value(m.shape, sp))
-    return np.where(m, edt(~m, sp), edt(m, sp))
-
-
 def level_set(mask: np.ndarray, spacing=None) -> np.ndarray:
     """Signed distance map: negative inside the mask, positive outside.
 
@@ -245,8 +237,17 @@ def level_set(mask: np.ndarray, spacing=None) -> np.ndarray:
         return np.full(m.shape, -sentinel_value(m.shape, sp))
     if not m.any():
         return np.full(m.shape, sentinel_value(m.shape, sp))
-    d = unsigned_boundary_distance(m, sp)
-    return np.where(m, -d, d)
+    return np.where(m, -edt(~m, sp), edt(m, sp))
+
+
+def unsigned_boundary_distance(mask: np.ndarray, spacing=None) -> np.ndarray:
+    """Distance to the opposite region, |level_set|: inside pixels measure
+    to the nearest background pixel, outside pixels to the nearest
+    foreground pixel.
+
+    Degenerate masks (no boundary) get the sentinel distance everywhere.
+    """
+    return np.abs(level_set(mask, spacing))
 
 
 class BoundaryContext:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, grid_sum, included, over_classes, per_prediction
+from .core import LossResult, _power_derivative, grid_sum, included, over_classes, per_prediction
 from .errors import ValidationError
 
 
@@ -37,12 +37,13 @@ def ce(g: np.ndarray, s: np.ndarray, cfg: LossConfig = DEFAULT_CONFIG) -> LossRe
 def wce(
     g: np.ndarray,
     s: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | None = None,
     cfg: LossConfig = DEFAULT_CONFIG,
 ) -> LossResult:
-    """Class-weighted cross-entropy; ``weights`` has one entry per class."""
+    """Class-weighted cross-entropy; ``weights`` has one entry per class
+    (default all ones, which is plain cross-entropy)."""
     g, s, sl = included(g, s, cfg)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.ones(g.shape[-1]) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (g.shape[-1],):
         raise ValidationError(
             f"weights shape {w.shape} does not match {g.shape[-1]} classes"
@@ -92,17 +93,16 @@ def topk(
     g, s, sl = included(g, s, cfg)
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    gi = g[..., sl]
-    s_true = over_classes(np.add, gi * s[..., sl])[..., 0]
-    has_true = over_classes(np.add, gi)[..., 0] > 0
     if keep is None:
         if s.ndim > g.ndim:
             raise ValidationError("topk on a prediction stack needs a pinned keep set")
-        keep = has_true & (s_true < threshold)
+        keep = topk_keep_set(g, s, threshold, cfg)
     else:
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != g.shape[:-1]:
             raise ValidationError(f"keep mask shape {keep.shape} != grid {g.shape[:-1]}")
+    gi = g[..., sl]
+    s_true = over_classes(np.add, gi * s[..., sl])[..., 0]
     k = int(keep.sum())
     grad = np.zeros_like(s)
     if k == 0:
@@ -137,12 +137,8 @@ def focal(
     log_sc = np.log(sc)
     one_minus = 1.0 - si
     modul = one_minus**gamma
-    if gamma == 0.0:
-        dmodul = np.zeros_like(one_minus)
-    else:
-        # derivative of the modulation; its product with log(s) -> 0 as s -> 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dmodul = np.where(one_minus > 0.0, gamma * one_minus ** (gamma - 1.0), 0.0)
+    # derivative of the modulation; its product with log(s) -> 0 as s -> 1
+    dmodul = _power_derivative(one_minus, gamma)
     value = -grid_sum(gi * modul * log_sc, g.ndim) / n
     grad = np.zeros_like(s)
     grad[..., sl] = gi * (dmodul * log_sc - modul / sc) / n

@@ -231,12 +231,8 @@ def random_params(rng: np.random.Generator, name: str, num_classes: int) -> dict
 
 
 def _instance_for(rng: np.random.Generator, name: str) -> tuple[np.ndarray, np.ndarray]:
-    entry = registry.loss_entry(name)
-    if entry.binary_only:
-        return random_instance(rng, binary=True)
-    if entry.family == "boundary" or name == "dpce":
-        return random_instance(rng, grid=True)
-    return random_instance(rng)
+    entry = registry.loss_entry(name)  # no loss is both binary-only and map-based
+    return random_instance(rng, binary=entry.binary_only, grid=entry.maps)
 
 
 def _ell_safe(g: np.ndarray, s: np.ndarray, cfg: LossConfig) -> bool:

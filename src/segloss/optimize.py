@@ -115,21 +115,21 @@ def optimize(
 
     rows = []
     s = softmax(z)
-    for step in range(steps):
+    for step in range(steps + 1):  # the last evaluation follows the last update
         try:
             res = evaluator(s)
         except ValidationError as exc:
             raise SeglossError(f"optimization aborted at step {step}: {exc}") from exc
         rows.append((step, res.value) + measure(s))
+        if step == steps:
+            break
         z = z - lr * softmax_vjp(s, res.grad)
-        if not np.isfinite(z).all():
-            raise SeglossError(f"optimization diverged: non-finite logits after step {step}")
-        s = softmax(z)
-    try:
-        res = evaluator(s)
-    except ValidationError as exc:
-        raise SeglossError(f"optimization aborted at step {steps}: {exc}") from exc
-    rows.append((steps, res.value) + measure(s))
+        try:
+            s = softmax(z)  # which rejects non-finite logits
+        except ValidationError as exc:
+            raise SeglossError(
+                f"optimization diverged: non-finite logits after step {step}"
+            ) from exc
 
     data = np.asarray(rows, dtype=np.float64)
     return OptTrajectory(

@@ -50,12 +50,6 @@ def _call(module, kernel: str):
     return make
 
 
-def _make_wce(g, cfg, p, ctx):
-    w = p["weights"]
-    w = np.ones(g.shape[-1]) if w is None else np.asarray(w, dtype=np.float64)
-    return lambda s: _distribution.wce(g, s, w, cfg)
-
-
 def _freeze_topk(g, s0, cfg, p, ctx):
     keep = _distribution.topk_keep_set(g, s0, p["t"], cfg)
     return lambda s: _distribution.topk(g, s, p["t"], cfg, keep=keep)
@@ -97,7 +91,7 @@ def _freeze_hd(g, s0, cfg, p, ctx):
 
 REGISTRY: dict[str, LossEntry] = {
     "ce": LossEntry("distribution", {}, _call(_distribution, "ce")),
-    "wce": LossEntry("distribution", {"weights": None}, _make_wce),
+    "wce": LossEntry("distribution", {"weights": None}, _call(_distribution, "wce")),
     "topk": LossEntry(
         "distribution", {"t": 0.5}, _call(_distribution, "topk"), freeze=_freeze_topk
     ),

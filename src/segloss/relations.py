@@ -25,7 +25,7 @@ from .boundary import (
     iou_coefficient,
 )
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult
+from .core import LossResult, one_hot
 from .distance import unsigned_boundary_distance
 from .distribution import ce, dpce, focal, topk, wce
 from .errors import ValidationError
@@ -48,9 +48,18 @@ class RelationCheck:
     passed: bool
 
 
-def _track(diffs: list[float], a: LossResult, b: LossResult) -> None:
-    diffs.append(abs(a.value - b.value))
-    diffs.append(float(np.abs(a.grad - b.grad).max()))
+def _check(name: str, tol: float, cases, errors) -> RelationCheck:
+    """Tally a relation over its cases: ``errors(*case)`` gives one case's
+    absolute errors, and the check fails if the worst exceeds ``tol``."""
+    worst, count = 0.0, 0
+    for case in cases:
+        worst = max(worst, *errors(*case))
+        count += 1
+    return RelationCheck(name, worst, tol, count, worst <= tol)
+
+
+def _errors(a: LossResult, b: LossResult) -> tuple[float, float]:
+    return abs(a.value - b.value), float(np.abs(a.grad - b.grad).max())
 
 
 def _linear_dice_comparator(g: np.ndarray, s: np.ndarray, cfg: LossConfig) -> float:
@@ -69,51 +78,8 @@ def run_identity_checks(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     instances = [random_instance(rng) for _ in range(trials)]
-    checks = []
 
-    def run(name, tol, pairs, fn):
-        diffs = [0.0]
-        cases = 0
-        for g, s in pairs:
-            fn(diffs, g, s)
-            cases += 1
-        worst = max(diffs)
-        checks.append(RelationCheck(name, worst, tol, cases, worst <= tol))
-
-    run(
-        "focal_gamma0_eq_ce",
-        1e-9,
-        instances,
-        lambda d, g, s: _track(d, focal(g, s, 0.0, cfg), ce(g, s, cfg)),
-    )
-    run(
-        "wce_unit_eq_ce",
-        1e-9,
-        instances,
-        lambda d, g, s: _track(d, wce(g, s, np.ones(g.shape[-1]), cfg), ce(g, s, cfg)),
-    )
-    run(
-        "topk_full_eq_ce",
-        1e-9,
-        instances,
-        lambda d, g, s: _track(d, topk(g, s, 1.0, cfg), ce(g, s, cfg)),
-    )
-    run(
-        "dpce_zero_eq_ce",
-        1e-9,
-        instances,
-        lambda d, g, s: _track(d, dpce(g, s, np.zeros_like(g), cfg), ce(g, s, cfg)),
-    )
-    run(
-        "tversky_half_eq_linear_dice",
-        1e-9,
-        instances,
-        lambda d, g, s: d.append(
-            abs(tversky_loss(g, s, 0.5, 0.5, cfg).value - _linear_dice_comparator(g, s, cfg))
-        ),
-    )
-
-    def asym_check(diffs, g, s):
+    def asym_errors(g, s):
         # per foreground class, asymmetric's F-score is Tversky with
         # alpha = 1/(1+b^2), beta = b^2/(1+b^2) on that class alone
         fg_cfg = replace(cfg, include_background=False)
@@ -126,33 +92,61 @@ def run_identity_checks(
                 g2 = np.stack([1.0 - g[..., c], g[..., c]], axis=-1)
                 s2 = np.stack([1.0 - s[..., c], s[..., c]], axis=-1)
                 per_class.append(tversky_loss(g2, s2, alpha, beta, fg_cfg).value)
-            diffs.append(abs(asym.value - float(np.mean(per_class))))
+            yield abs(asym.value - float(np.mean(per_class)))
 
-    run("asymmetric_eq_tversky", 1e-12, instances, asym_check)
-    run(
-        "penalty_gd_zero_eq_generalized_dice",
-        1e-15,
-        instances,
-        lambda d, g, s: _track(d, penalty_gd_loss(g, s, 0.0, cfg), generalized_dice_loss(g, s, cfg)),
-    )
-    run(
-        "focal_tversky_gamma1_eq_tversky",
-        1e-9,
-        instances,
-        lambda d, g, s: _track(
-            d, focal_tversky_loss(g, s, 0.3, 0.7, 1.0, cfg), tversky_loss(g, s, 0.3, 0.7, cfg)
+    return [
+        _check(
+            "focal_gamma0_eq_ce",
+            1e-9,
+            instances,
+            lambda g, s: _errors(focal(g, s, 0.0, cfg), ce(g, s, cfg)),
         ),
-    )
-    return checks
+        _check(
+            "wce_unit_eq_ce",
+            1e-9,
+            instances,
+            lambda g, s: _errors(wce(g, s, np.ones(g.shape[-1]), cfg), ce(g, s, cfg)),
+        ),
+        _check(
+            "topk_full_eq_ce",
+            1e-9,
+            instances,
+            lambda g, s: _errors(topk(g, s, 1.0, cfg), ce(g, s, cfg)),
+        ),
+        _check(
+            "dpce_zero_eq_ce",
+            1e-9,
+            instances,
+            lambda g, s: _errors(dpce(g, s, np.zeros_like(g), cfg), ce(g, s, cfg)),
+        ),
+        _check(
+            "tversky_half_eq_linear_dice",
+            1e-9,
+            instances,
+            lambda g, s: [
+                abs(tversky_loss(g, s, 0.5, 0.5, cfg).value - _linear_dice_comparator(g, s, cfg))
+            ],
+        ),
+        _check("asymmetric_eq_tversky", 1e-12, instances, asym_errors),
+        _check(
+            "penalty_gd_zero_eq_generalized_dice",
+            1e-15,
+            instances,
+            lambda g, s: _errors(penalty_gd_loss(g, s, 0.0, cfg), generalized_dice_loss(g, s, cfg)),
+        ),
+        _check(
+            "focal_tversky_gamma1_eq_tversky",
+            1e-9,
+            instances,
+            lambda g, s: _errors(
+                focal_tversky_loss(g, s, 0.3, 0.7, 1.0, cfg), tversky_loss(g, s, 0.3, 0.7, cfg)
+            ),
+        ),
+    ]
 
 
 def _all_masks(n: int = 4) -> list[np.ndarray]:
     return [np.array(bits, dtype=bool) for bits in itertools.product((0, 1), repeat=n)]
-
-
-def _onehot_of(mask: np.ndarray) -> np.ndarray:
-    m = mask.astype(np.float64)
-    return np.stack([1.0 - m, m], axis=-1)
 
 
 def run_connection_checks(spacing=None) -> list[RelationCheck]:
@@ -160,54 +154,40 @@ def run_connection_checks(spacing=None) -> list[RelationCheck]:
     symmetric-difference forms."""
     masks = _all_masks(4)
     nondeg = [m for m in masks if m.any() and not m.all()]
-    checks = []
+    pairs = list(itertools.product(masks, masks))
 
-    diffs = [0.0]
-    cases = 0
-    for g_mask, s_mask in itertools.product(masks, masks):
-        if not g_mask.any() and not s_mask.any():
-            continue
-        diffs.append(
-            abs(dice_mismatch_form(g_mask, s_mask) - (1.0 - dice_coefficient(g_mask, s_mask)))
-        )
-        cases += 1
-    worst = max(diffs)
-    checks.append(RelationCheck("dice_mismatch_eq_one_minus_coeff", worst, 1e-12, cases, worst <= 1e-12))
+    def hd_errors(g_mask, s_mask):
+        g, s = one_hot(g_mask.astype(int), 2), one_hot(s_mask.astype(int), 2)
+        value = hd_loss(g, s, spacing=spacing).value
+        return [abs(value - hd_mismatch_form(g_mask, s_mask, spacing))]
 
-    diffs = [0.0]
-    cases = 0
-    for g_mask, s_mask in itertools.product(nondeg, nondeg):
-        value = hd_loss(_onehot_of(g_mask), _onehot_of(s_mask), spacing=spacing).value
-        diffs.append(abs(value - hd_mismatch_form(g_mask, s_mask, spacing)))
-        cases += 1
-    worst = max(diffs)
-    checks.append(RelationCheck("hd_loss_eq_hd_mismatch", worst, 1e-12, cases, worst <= 1e-12))
+    def bd_cases():
+        for g_mask in nondeg:
+            ctx = boundary_context(one_hot(g_mask.astype(int), 2), spacing)
+            gt_sum = float(unsigned_boundary_distance(g_mask, spacing)[g_mask].sum())
+            for s_mask in masks:
+                yield g_mask, s_mask, ctx, gt_sum
 
-    diffs = [0.0]
-    cases = 0
-    n = 4.0
-    for g_mask in nondeg:
-        ctx = boundary_context(_onehot_of(g_mask), spacing)
-        d_g = unsigned_boundary_distance(g_mask, spacing)
-        gt_sum = float(d_g[g_mask].sum())
-        for s_mask in masks:
-            lhs = n * boundary_loss(ctx, _onehot_of(s_mask)).value + gt_sum
-            diffs.append(abs(lhs - bd_mismatch_form(g_mask, s_mask, spacing)))
-            cases += 1
-    worst = max(diffs)
-    checks.append(RelationCheck("bd_identity", worst, 1e-12, cases, worst <= 1e-12))
+    def bd_errors(g_mask, s_mask, ctx, gt_sum):
+        lhs = g_mask.size * boundary_loss(ctx, one_hot(s_mask.astype(int), 2)).value + gt_sum
+        return [abs(lhs - bd_mismatch_form(g_mask, s_mask, spacing))]
 
-    diffs = [0.0]
-    cases = 0
-    for g_mask, s_mask in itertools.product(masks, masks):
+    def dice_iou_errors(g_mask, s_mask):
         dice = dice_coefficient(g_mask, s_mask)
         iou = iou_coefficient(g_mask, s_mask)
-        diffs.append(abs(dice - 2.0 * iou / (1.0 + iou)))
-        cases += 1
-    worst = max(diffs)
-    checks.append(RelationCheck("dice_iou_relation", worst, 1e-12, cases, worst <= 1e-12))
+        return [abs(dice - 2.0 * iou / (1.0 + iou))]
 
-    return checks
+    return [
+        _check(
+            "dice_mismatch_eq_one_minus_coeff",
+            1e-12,
+            [(g, s) for g, s in pairs if g.any() or s.any()],
+            lambda g, s: [abs(dice_mismatch_form(g, s) - (1.0 - dice_coefficient(g, s)))],
+        ),
+        _check("hd_loss_eq_hd_mismatch", 1e-12, itertools.product(nondeg, nondeg), hd_errors),
+        _check("bd_identity", 1e-12, bd_cases(), bd_errors),
+        _check("dice_iou_relation", 1e-12, pairs, dice_iou_errors),
+    ]
 
 
 def run_all(

@@ -30,13 +30,8 @@ def write_tensor(path, array: np.ndarray) -> None:
     arr = np.asarray(array)
     if arr.dtype == bool:
         arr = arr.astype(np.uint8)
-    if arr.dtype == np.uint8:
-        code = 1
-    elif arr.dtype == np.float32:
-        code = 2
-    elif arr.dtype == np.float64:
-        code = 3
-    else:
+    code = next((c for c, dtype in _CODE_TO_DTYPE.items() if dtype == arr.dtype), None)
+    if code is None:
         raise ValidationError(f"unsupported tensor dtype {arr.dtype}; use u8/f32/f64")
     if not (1 <= arr.ndim <= MAX_NDIM):
         raise ValidationError(f"tensor rank must be 1..{MAX_NDIM}, got {arr.ndim}")
@@ -101,12 +96,12 @@ def read_tensor(path, expect: str = "any", num_classes: int | None = None) -> np
         )
     arr = np.frombuffer(data, dtype=dtype, count=math.prod(dims), offset=dims_end).reshape(dims)
 
+    if expect in ("labels", "mask") and code != 1:
+        raise TensorFileError(
+            f"{name}: {expect} must be stored as uint8, found dtype code {code}",
+            "dtype-mismatch",
+        )
     if expect == "labels":
-        if code != 1:
-            raise TensorFileError(
-                f"{name}: labels must be stored as uint8, found dtype code {code}",
-                "dtype-mismatch",
-            )
         labels = arr.astype(np.int64)
         if num_classes is not None:
             try:
@@ -115,11 +110,6 @@ def read_tensor(path, expect: str = "any", num_classes: int | None = None) -> np
                 raise TensorFileError(f"{name}: {exc}", "label-range") from exc
         return labels
     if expect == "mask":
-        if code != 1:
-            raise TensorFileError(
-                f"{name}: mask must be stored as uint8, found dtype code {code}",
-                "dtype-mismatch",
-            )
         bad = (arr != 0) & (arr != 1)
         if bad.any():
             idx = np.argwhere(bad)[0]

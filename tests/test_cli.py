@@ -136,6 +136,37 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"loss {name!r} parameter" in err and "must be" in err
 
+    @pytest.mark.parametrize(
+        "config",
+        ['{"log_clamp": 2}', '{"log_clamp": 1}', '{"epsilon": Infinity}', '{"epsilon": NaN}',
+         '{"epsilon": 0}', '{"epsilon": true}', '{"include_background": "no"}',
+         '{"include_background": 0}'],
+    )
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_config_out_of_bounds_is_exit_2_naming_the_file(self, fixture_files, tmp_path,
+                                                            capsys, config, command):
+        gt, pred, _ = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(config)
+        if command == "eval":
+            args = ["--pred", pred, "--loss", "ce,focal"]
+        else:
+            args = ["--loss", "ce", "--steps", 1, "--lr", 1.0]
+        assert run_cli(command, "--gt", gt, "--config", bad, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: " in captured.err and "must be" in captured.err
+
+    def test_integer_config_numbers_echo_as_floats(self, fixture_files, tmp_path, capsys):
+        gt, pred, _ = fixture_files
+        good = tmp_path / "good.json"
+        good.write_text('{"epsilon": 1, "include_background": false}')
+        assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", "dice",
+                       "--config", good) == 0
+        text = capsys.readouterr().out
+        assert '"epsilon": 1.0,' in text
+        assert json.loads(text)["config"]["include_background"] is False
+
     def test_loss_params_of_the_right_kind_are_taken(self, fixture_files, tmp_path, capsys):
         gt, pred, _ = fixture_files
         good = tmp_path / "good.json"
@@ -270,6 +301,18 @@ class TestOptimize:
         gt, _, _ = fixture_files
         assert run_cli("optimize", "--loss", "nope", "--gt", gt, "--steps", "1",
                        "--lr", "1.0") == 2
+
+    def test_divergence_is_exit_2(self, tmp_path, capsys):
+        # from the seed-0 start, hd's first update overflows these logits
+        gt = tmp_path / "gt.ntf"
+        write_tensor(gt, np.array([0, 1, 1, 0, 0, 0, 0, 0], dtype=np.uint8))
+        with np.errstate(over="ignore"):
+            code = run_cli("optimize", "--loss", "hd", "--gt", gt, "--steps", "3",
+                           "--lr", "1.7e308")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: optimization diverged: non-finite logits after step 0\n"
 
 
 class TestCheckCommands:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segloss import (
+    LossConfig,
     LossResult,
     ValidationError,
     one_hot,
@@ -151,3 +152,31 @@ class TestLossResult:
     def test_flags_default_empty(self):
         res = LossResult(0.0, np.zeros((2, 2)))
         assert res.flags == ()
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"log_clamp": 2.0},
+            {"log_clamp": 1.0},
+            {"log_clamp": 0.0},
+            {"log_clamp": float("nan")},
+            {"epsilon": float("inf")},
+            {"epsilon": float("nan")},
+            {"epsilon": -1e-6},
+            {"epsilon": True},
+            {"epsilon": "1e-6"},
+            {"include_background": "no"},
+            {"include_background": 1},
+            {"include_background": None},
+        ],
+    )
+    def test_rejects_out_of_bounds(self, kwargs):
+        with pytest.raises(ValidationError, match=f"{next(iter(kwargs))} must be"):
+            LossConfig(**kwargs)
+
+    def test_any_real_number_is_stored_as_a_float(self):
+        cfg = LossConfig(epsilon=1, log_clamp=np.float32(0.5))
+        assert type(cfg.epsilon) is float and cfg.epsilon == 1.0
+        assert type(cfg.log_clamp) is float and cfg.log_clamp == 0.5

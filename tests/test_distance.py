@@ -218,11 +218,19 @@ class TestUnsignedBoundaryDistance:
         m = np.indices((2, 2)).sum(0) % 2 == 0
         np.testing.assert_array_equal(unsigned_boundary_distance(m), 1.0)
 
-    def test_matches_level_set_magnitude(self):
-        rng = np.random.default_rng(5)
-        m = rng.random((6, 7)) < 0.4
-        np.testing.assert_allclose(
-            unsigned_boundary_distance(m), np.abs(level_set(m)), atol=1e-12
+    @pytest.mark.parametrize(
+        "shape, spacing",
+        [((9,), None), ((6, 7), None), ((6, 7), (0.7, 1.9)), ((4, 5, 3), (1.0, 0.5, 2.5))],
+    )
+    @pytest.mark.parametrize("fill", [None, True, False])  # random, all inside, all outside
+    def test_matches_level_set_magnitude(self, shape, spacing, fill):
+        if fill is None:
+            m = np.random.default_rng(5).random(shape) < 0.4
+            assert m.any() and not m.all()
+        else:
+            m = np.full(shape, fill)
+        np.testing.assert_array_equal(
+            unsigned_boundary_distance(m, spacing), np.abs(level_set(m, spacing))
         )
 
     def test_degenerate_gives_sentinel(self):

@@ -59,6 +59,7 @@ class TestWeightedCrossEntropy:
     def test_unit_weights_reduce_to_ce(self, f1):
         g, s = f1
         assert wce(g, s, np.ones(2)).value == ce(g, s).value
+        assert wce(g, s).value == ce(g, s).value  # the default weights
 
     def test_linear_in_weights(self, f1):
         g, s = f1

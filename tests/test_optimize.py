@@ -4,6 +4,7 @@ import pytest
 from segloss import (
     GENERATOR_ID,
     OptTrajectory,
+    SeglossError,
     ValidationError,
     optimize,
     prepare,
@@ -107,6 +108,15 @@ class TestValidation:
             optimize(
                 "dice", np.array([1, 0]), steps=1, lr=1.0, init_logits=np.zeros((3, 2))
             )
+
+    def test_divergence_is_a_plain_segloss_error_naming_the_step(self):
+        # the first update overflows the logits; softmax's own finiteness
+        # check finds it, and optimize reports it as divergence
+        with np.errstate(over="ignore"), pytest.raises(SeglossError) as info:
+            optimize("ce", np.array([1, 0]), steps=3, lr=1.7e308,
+                     init_logits=np.full((2, 2), 1.5e308))
+        assert type(info.value) is SeglossError
+        assert str(info.value) == "optimization diverged: non-finite logits after step 0"
 
     def test_num_classes_widens_the_simplex(self):
         traj = optimize("ce", np.array([1, 0, 1]), steps=1, lr=0.1, num_classes=4)
