@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult, check_pair, grid_sum, per_prediction
-from .distance import BoundaryContext, as_mask, unsigned_boundary_distance
+from .distance import BoundaryContext, _mask_pair, unsigned_boundary_distance
 from .errors import DegenerateInputError, ValidationError
 
 
@@ -33,6 +33,14 @@ def foreground_boundary_distances(
     channels that were degenerate and got sentinel distances.
     """
     return BoundaryContext(x, spacing).foreground_distances(tag)
+
+
+def _usable_classes(ctx: BoundaryContext) -> list[int]:
+    """The foreground classes of ctx with a boundary; DegenerateInputError if none."""
+    usable = [c for c in range(1, len(ctx.degenerate)) if not ctx.degenerate[c]]
+    if not usable:
+        raise DegenerateInputError("every foreground class is degenerate")
+    return usable
 
 
 def boundary_loss(
@@ -54,10 +62,8 @@ def boundary_loss(
     phi, s = check_pair(ctx.phi, s)
     num_classes = phi.shape[-1]
     n = float(math.prod(phi.shape[:-1]))
-    usable = [c for c in range(1, num_classes) if not ctx.degenerate[c]]
+    usable = _usable_classes(ctx)
     flags = tuple(f"degenerate-class-{c}" for c in range(1, num_classes) if ctx.degenerate[c])
-    if not usable:
-        raise DegenerateInputError("every foreground class is degenerate")
     value = 0.0
     grad = np.zeros_like(s)
     for c in usable:
@@ -73,10 +79,7 @@ def boundary_gt_term(ctx: BoundaryContext, g: np.ndarray) -> float:
     g = np.asarray(g, dtype=np.float64)
     if ctx.phi.shape != g.shape:
         raise ValidationError(f"context shape {ctx.phi.shape} != ground truth {g.shape}")
-    usable = [c for c in range(1, g.shape[-1]) if not ctx.degenerate[c]]
-    if not usable:
-        raise DegenerateInputError("every foreground class is degenerate")
-    return float(sum((ctx.phi[..., c] * g[..., c]).sum() for c in usable))
+    return float(sum((ctx.phi[..., c] * g[..., c]).sum() for c in _usable_classes(ctx)))
 
 
 def hd_loss(
@@ -130,14 +133,6 @@ def hd_loss(
     grad = np.zeros_like(s)
     grad[..., 1:] = 2.0 * (s_fg - g_fg) * weight / n
     return LossResult(per_prediction(value, g, s), grad, flags_g + flags_s)
-
-
-def _mask_pair(g_mask: np.ndarray, s_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = as_mask(g_mask)
-    s = as_mask(s_mask)
-    if g.shape != s.shape:
-        raise ValidationError(f"mask shapes differ: {g.shape} vs {s.shape}")
-    return g, s
 
 
 def dice_coefficient(g_mask: np.ndarray, s_mask: np.ndarray) -> float:

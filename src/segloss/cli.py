@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import one_hot
-from .distance import BoundaryContext, edt, level_set
+from .distance import BoundaryContext, as_spacing, edt, level_set
 from .errors import DegenerateInputError, SeglossError, TensorFileError, ValidationError
 from .gradcheck import run_suite
 from .optimize import optimize
@@ -31,8 +31,9 @@ from .tensorio import file_digest, read_pgm, read_tensor, write_tensor
 _CONFIG_KEYS = ("epsilon", "log_clamp", "include_background", "spacing", "params")
 
 
-def _load_run_config(path) -> tuple[LossConfig, list[float] | None, dict]:
-    """Parse the optional JSON run config into (LossConfig, spacing, params).
+def _load_run_config(path, ndim: int) -> tuple[LossConfig, tuple[float, ...] | None, dict]:
+    """Parse the optional JSON run config into (LossConfig, spacing, params),
+    for inputs on a rank-``ndim`` grid.
 
     ``params`` maps loss name -> parameter overrides for that loss.
     """
@@ -52,15 +53,9 @@ def _load_run_config(path) -> tuple[LossConfig, list[float] | None, dict]:
         )
     try:
         cfg = LossConfig(**{k: v for k, v in data.items() if k not in ("spacing", "params")})
+        spacing = None if data.get("spacing") is None else as_spacing(data["spacing"], ndim)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    spacing = data.get("spacing")
-    if spacing is not None:
-        if not isinstance(spacing, list) or not spacing or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in spacing
-        ):
-            raise ValidationError(f"{path}: spacing must be a non-empty list of numbers")
-        spacing = [float(x) for x in spacing]
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError(f"{path}: params must be an object keyed by loss name")
@@ -90,12 +85,9 @@ def _parse_spacing(text: str | None) -> list[float] | None:
     if text is None:
         return None
     try:
-        values = [float(t) for t in text.split(",") if t.strip()]
+        return [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ValidationError(f"bad spacing {text!r}; expected comma-separated numbers") from None
-    if not values:
-        raise ValidationError("empty spacing")
-    return values
 
 
 def _emit(text: str, out_path) -> None:
@@ -106,7 +98,6 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_eval(args) -> int:
-    cfg, spacing, params_over = _load_run_config(args.config)
     names, was_all = _parse_losses(args.loss)
     pred = read_tensor(args.pred, expect="probs")
     num_classes = pred.shape[-1]
@@ -116,6 +107,7 @@ def _cmd_eval(args) -> int:
             f"ground truth shape {gt_labels.shape} does not match "
             f"prediction grid {pred.shape[:-1]}"
         )
+    cfg, spacing, params_over = _load_run_config(args.config, gt_labels.ndim)
     g = one_hot(gt_labels, num_classes)
 
     rows = []
@@ -212,9 +204,9 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg, spacing, params_over = _load_run_config(args.config)
     loss_entry(args.loss)
     gt_labels = read_tensor(args.gt, expect="labels")
+    cfg, spacing, params_over = _load_run_config(args.config, gt_labels.ndim)
     traj = optimize(
         args.loss,
         gt_labels,

@@ -25,11 +25,13 @@ pixel-to-pixel distance on the grid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 
-from .core import MAX_SPATIAL_RANK
+from .core import MAX_SPATIAL_RANK, check_pair
 
 
 def as_mask(mask: np.ndarray) -> np.ndarray:
@@ -47,20 +49,34 @@ def as_mask(mask: np.ndarray) -> np.ndarray:
     return m.astype(bool)
 
 
+def _mask_pair(g_mask: np.ndarray, s_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks of one shape, each through as_mask."""
+    g = as_mask(g_mask)
+    s = as_mask(s_mask)
+    if g.shape != s.shape:
+        raise ValidationError(f"mask shapes differ: {g.shape} vs {s.shape}")
+    return g, s
+
+
 def as_spacing(spacing, ndim: int) -> tuple[float, ...]:
-    """Normalize a spacing argument to a tuple of positive floats."""
+    """Normalize a spacing argument to a tuple of positive finite floats, one
+    per axis of a rank-``ndim`` grid. Every spacing is checked here alone."""
     if spacing is None:
         return (1.0,) * ndim
-    try:
-        arr = np.atleast_1d(np.asarray(spacing))
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ValidationError(f"spacing must be a number or a flat list of numbers: {spacing!r}")
-    sp = tuple(float(x) for x in arr)
+    try:  # ragged nesting raises ValueError, an int beyond float range OverflowError
+        values = np.atleast_1d(np.asarray(spacing, dtype=object)).tolist()  # rows stay lists
+        numeric = all(
+            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            for x in values
+        )
+        sp = tuple(float(x) for x in values) if numeric else None
+    except (ValueError, OverflowError):
+        sp = None
+    if sp is None:
+        raise ValidationError(f"spacing must be a non-empty list of numbers: {spacing!r}")
     if len(sp) != ndim:
         raise ValidationError(f"spacing has {len(sp)} entries for a rank-{ndim} grid")
-    if any(not np.isfinite(x) or x <= 0 for x in sp):
+    if any(not math.isfinite(x) or x <= 0 for x in sp):
         raise ValidationError(f"spacing entries must be positive and finite, got {sp}")
     return sp
 
@@ -259,9 +275,7 @@ class BoundaryContext:
     channels with no boundary, whose phi is the signed sentinel."""
 
     def __init__(self, g: np.ndarray, spacing=None):
-        g = np.asarray(g, dtype=np.float64)
-        if g.ndim < 2 or g.shape[-1] < 2:
-            raise ValidationError(f"expected dims + (C>=2,) ground truth, got shape {g.shape}")
+        g = check_pair(g, g)[0]
         self.spacing = as_spacing(spacing, g.ndim - 1)
         self.masks = g >= 0.5
         flat = self.masks.reshape(-1, g.shape[-1])
@@ -316,10 +330,7 @@ def boundary_penalty_map(g_onehot: np.ndarray, spacing=None) -> np.ndarray:
 
 def hausdorff_exact(g_mask: np.ndarray, s_mask: np.ndarray, spacing=None) -> float:
     """Symmetric Hausdorff distance between two nonempty pixel sets."""
-    g = as_mask(g_mask)
-    s = as_mask(s_mask)
-    if g.shape != s.shape:
-        raise ValidationError(f"mask shapes differ: {g.shape} vs {s.shape}")
+    g, s = _mask_pair(g_mask, s_mask)
     sp = as_spacing(spacing, g.ndim)
     for name, m in (("first", g), ("second", s)):
         if not m.any():

@@ -101,6 +101,49 @@ class TestEval:
                        "--config", bad) == 2
         assert "spacing must be a non-empty list of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spacing", [[-1.0], [0.0], [-1.0, 0.0, 5.0], [1.0, 2.0], [], [1e400]]
+    )
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_bad_spacing_is_exit_2_for_every_loss(self, fixture_files, tmp_path, capsys,
+                                                 spacing, command):
+        # ce and dice take no distance map; the spacing is checked all the same
+        gt, pred, _ = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"spacing": spacing}))
+        if command == "eval":
+            args = ["--pred", pred, "--loss", "ce"]
+        else:
+            args = ["--loss", "dice", "--steps", 1, "--lr", 1.0]
+        assert run_cli(command, "--gt", gt, "--config", bad, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: spacing " in captured.err
+
+    def test_spacing_checked_against_the_grid_rank(self, tmp_path, capsys):
+        gt = tmp_path / "gt.ntf"
+        pred = tmp_path / "pred.ntf"
+        write_tensor(gt, np.array([[1, 0], [0, 0]], dtype=np.uint8))
+        write_tensor(pred, np.full((2, 2, 2), 0.5))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"spacing": [0.5]}')
+        assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", "ce", "--config", cfg) == 2
+        assert "spacing has 1 entries for a rank-2 grid" in capsys.readouterr().err
+        cfg.write_text('{"spacing": [0.5, 2]}')
+        assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", "ce", "--config", cfg) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["spacing"] == [0.5, 2.0]
+
+    def test_bad_tensor_reported_before_bad_config(self, fixture_files, tmp_path, capsys):
+        gt, _, _ = fixture_files
+        bad_pred = tmp_path / "bad.ntf"
+        bad_pred.write_bytes(b"NTF1garbage")
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text('{"spacing": [true]}')
+        assert run_cli("eval", "--gt", gt, "--pred", bad_pred, "--loss", "ce",
+                       "--config", bad_cfg) == 2
+        err = capsys.readouterr().err
+        assert str(bad_pred) in err and str(bad_cfg) not in err
+
     def test_unknown_loss_param_rejected(self, fixture_files, tmp_path, capsys):
         gt, pred, _ = fixture_files
         bad = tmp_path / "bad.json"
@@ -275,6 +318,13 @@ class TestDt:
         write_tensor(mask, np.array([0, 1], dtype=np.uint8))
         assert run_cli("dt", "--mask", mask, "--out", tmp_path / "d.ntf",
                        "--spacing", "one") == 2
+
+    def test_empty_spacing_gets_the_rank_message(self, tmp_path, capsys):
+        mask = tmp_path / "m.ntf"
+        write_tensor(mask, np.array([0, 1], dtype=np.uint8))
+        assert run_cli("dt", "--mask", mask, "--out", tmp_path / "d.ntf",
+                       "--spacing", ",") == 2
+        assert "spacing has 0 entries for a rank-1 grid" in capsys.readouterr().err
 
 
 class TestOptimize:

@@ -180,3 +180,11 @@ class TestLossConfig:
         cfg = LossConfig(epsilon=1, log_clamp=np.float32(0.5))
         assert type(cfg.epsilon) is float and cfg.epsilon == 1.0
         assert type(cfg.log_clamp) is float and cfg.log_clamp == 0.5
+
+
+def test_every_public_name_resolves():
+    import segloss
+
+    assert len(segloss.__all__) == len(set(segloss.__all__)) == 66
+    missing = [name for name in segloss.__all__ if not hasattr(segloss, name)]
+    assert missing == []

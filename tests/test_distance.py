@@ -165,10 +165,18 @@ class TestEdtLongThinAxes:
 
 
 class TestAsSpacing:
-    @pytest.mark.parametrize("spacing", [[[1, 1]], "ab", [[1], [1, 2]], [1, None], [True, True]])
+    @pytest.mark.parametrize(
+        "spacing",
+        [[[1, 1]], "ab", [[1], [1, 2]], [1, None], [True, True], [1, True],
+         [np.bool_(True), 1.0], np.array([True, False]), [10**400, 1]],
+    )
     def test_malformed_spacing_is_a_validation_error(self, spacing):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="spacing must be a non-empty list of numbers"):
             as_spacing(spacing, 2)
+
+    def test_edt_rejects_a_bool_spacing_entry(self):
+        with pytest.raises(ValidationError):
+            edt(np.array([[0, 1], [0, 0]], bool), [1, True])
 
     def test_accepts_scalars_and_flat_sequences(self):
         assert as_spacing(2, 1) == (2.0,)
