@@ -54,16 +54,16 @@ def _load_run_config(path, ndim: int) -> tuple[LossConfig, tuple[float, ...] | N
     try:
         cfg = LossConfig(**{k: v for k, v in data.items() if k not in ("spacing", "params")})
         spacing = None if data.get("spacing") is None else as_spacing(data["spacing"], ndim)
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ValidationError("params must be an object keyed by loss name")
+        for name, overrides in params.items():
+            loss_entry(name)
+            if not isinstance(overrides, dict):
+                raise ValidationError(f"params for {name!r} must be an object")
+            resolve_params(name, overrides)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError(f"{path}: params must be an object keyed by loss name")
-    for name, overrides in params.items():
-        loss_entry(name)
-        if not isinstance(overrides, dict):
-            raise ValidationError(f"{path}: params for {name!r} must be an object")
-        resolve_params(name, overrides)
     return cfg, spacing, params
 
 

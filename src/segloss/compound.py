@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
 from .core import LossResult, check_pair, class_sums, grid_sum, included, over_classes, per_prediction
-from .core import _power_derivative
+from .core import _class_weights, _power_derivative
 from .errors import ValidationError
 
 
@@ -78,15 +78,7 @@ def ell_loss(
         raise ValidationError(f"need non-negative weights with a positive sum, got {w_dice}, {w_ce}")
     if not (gamma_dice > 0 and np.isfinite(gamma_dice)) or not (gamma_ce > 0 and np.isfinite(gamma_ce)):
         raise ValidationError(f"gammas must be positive and finite, got {gamma_dice}, {gamma_ce}")
-    num_classes = g.shape[-1]
-    if class_weights is None:
-        cw = np.ones(num_classes)
-    else:
-        cw = np.asarray(class_weights, dtype=np.float64)
-        if cw.shape != (num_classes,):
-            raise ValidationError(f"class_weights shape {cw.shape} != ({num_classes},)")
-        if (cw < 0).any() or not np.isfinite(cw).all():
-            raise ValidationError("class_weights must be finite and non-negative")
+    cw = _class_weights(class_weights, g.shape[-1], "class_weights")
     eps = cfg.epsilon
     gi = g[..., sl]
     si = s[..., sl]

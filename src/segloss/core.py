@@ -202,6 +202,19 @@ def included(g: np.ndarray, s: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray,
     return g, s, slice(cfg.first_class(), None)
 
 
+def _class_weights(weights, num_classes: int, name: str) -> np.ndarray:
+    """A per-class weight vector (default all ones): shape (C,), finite,
+    non-negative; ``name`` is the parameter it came from."""
+    if weights is None:
+        return np.ones(num_classes)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (num_classes,):
+        raise ValidationError(f"{name} shape {w.shape} != ({num_classes},)")
+    if (w < 0).any() or not np.isfinite(w).all():
+        raise ValidationError(f"{name} must be finite and non-negative")
+    return w
+
+
 # The reductions below take ``ndim``, the number of axes one prediction's
 # array has; an array with more carries a leading stack axis. One
 # prediction is reduced as a plain numpy sum, to numpy scalars whose

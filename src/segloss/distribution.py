@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, LossConfig
-from .core import LossResult, _power_derivative, grid_sum, included, over_classes, per_prediction
+from .core import LossResult, grid_sum, included, over_classes, per_prediction
+from .core import _class_weights, _power_derivative
 from .errors import ValidationError
 
 
@@ -22,16 +23,22 @@ def _clamped(s_part: np.ndarray, cfg: LossConfig) -> np.ndarray:
     return np.clip(s_part, cfg.log_clamp, 1.0)
 
 
+def _weighted_ce(g, s, sl, weight, cfg: LossConfig) -> LossResult:
+    """-(1/N) sum over included entries of weight * g * log s: ce, wce and
+    dpce differ only in the weight (1, one per class, one per entry)."""
+    n = float(math.prod(g.shape[:-1]))
+    sc = _clamped(s[..., sl], cfg)
+    wg = weight * g[..., sl]
+    value = -grid_sum(wg * np.log(sc), g.ndim) / n
+    grad = np.zeros_like(s)
+    grad[..., sl] = -wg / (n * sc)
+    return LossResult(per_prediction(value, g, s), grad)
+
+
 def ce(g: np.ndarray, s: np.ndarray, cfg: LossConfig = DEFAULT_CONFIG) -> LossResult:
     """Mean cross-entropy over pixels: -(1/N) sum_i log s_i[true class]."""
     g, s, sl = included(g, s, cfg)
-    n = float(math.prod(g.shape[:-1]))
-    sc = _clamped(s[..., sl], cfg)
-    gi = g[..., sl]
-    value = -grid_sum(gi * np.log(sc), g.ndim) / n
-    grad = np.zeros_like(s)
-    grad[..., sl] = -gi / (n * sc)
-    return LossResult(per_prediction(value, g, s), grad)
+    return _weighted_ce(g, s, sl, 1.0, cfg)
 
 
 def wce(
@@ -43,22 +50,10 @@ def wce(
     """Class-weighted cross-entropy; ``weights`` has one entry per class
     (default all ones, which is plain cross-entropy)."""
     g, s, sl = included(g, s, cfg)
-    w = np.ones(g.shape[-1]) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (g.shape[-1],):
-        raise ValidationError(
-            f"weights shape {w.shape} does not match {g.shape[-1]} classes"
-        )
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValidationError("class weights must be finite and non-negative")
+    w = _class_weights(weights, g.shape[-1], "weights")
     if not (w > 0).any():
         raise ValidationError("at least one class weight must be positive")
-    n = float(math.prod(g.shape[:-1]))
-    sc = _clamped(s[..., sl], cfg)
-    gi = g[..., sl]
-    value = -grid_sum(w[sl] * gi * np.log(sc), g.ndim) / n
-    grad = np.zeros_like(s)
-    grad[..., sl] = -w[sl] * gi / (n * sc)
-    return LossResult(per_prediction(value, g, s), grad)
+    return _weighted_ce(g, s, sl, w[sl], cfg)
 
 
 def topk_keep_set(
@@ -78,12 +73,12 @@ def topk_keep_set(
 def topk(
     g: np.ndarray,
     s: np.ndarray,
-    threshold: float = 0.5,
+    t: float = 0.5,
     cfg: LossConfig = DEFAULT_CONFIG,
     keep: np.ndarray | None = None,
 ) -> LossResult:
     """Truncated cross-entropy: average -log s[true] over the hard pixels
-    only, i.e. those whose true-class probability falls below ``threshold``.
+    only, i.e. those whose true-class probability falls below the threshold ``t``.
 
     ``keep`` pins the selected pixel set explicitly (boolean over the grid);
     it is what a finite-difference probe passes so that both sides of the
@@ -91,12 +86,12 @@ def topk(
     needs it: without ``keep`` each prediction would select its own set.
     """
     g, s, sl = included(g, s, cfg)
-    if not (0.0 < threshold <= 1.0):
-        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
+    if not (0.0 < t <= 1.0):
+        raise ValidationError(f"threshold t must be in (0, 1], got {t}")
     if keep is None:
         if s.ndim > g.ndim:
             raise ValidationError("topk on a prediction stack needs a pinned keep set")
-        keep = topk_keep_set(g, s, threshold, cfg)
+        keep = topk_keep_set(g, s, t, cfg)
     else:
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != g.shape[:-1]:
@@ -162,11 +157,4 @@ def dpce(
         raise ValidationError(f"distance map shape {d.shape} != {g.shape}")
     if not np.isfinite(d).all() or (d < 0).any():
         raise ValidationError("distance map must be finite and non-negative")
-    n = float(math.prod(g.shape[:-1]))
-    gi = g[..., sl]
-    sc = _clamped(s[..., sl], cfg)
-    wi = 1.0 + d[..., sl]
-    value = -grid_sum(wi * gi * np.log(sc), g.ndim) / n
-    grad = np.zeros_like(s)
-    grad[..., sl] = -wi * gi / (n * sc)
-    return LossResult(per_prediction(value, g, s), grad)
+    return _weighted_ce(g, s, sl, 1.0 + d[..., sl], cfg)

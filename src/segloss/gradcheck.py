@@ -121,7 +121,7 @@ def finite_diff_grad(
 
 
 def compare_grads(
-    analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_ERR_FLOOR
+    analytic: np.ndarray, numeric: np.ndarray
 ) -> tuple[float, float, tuple[int, int]]:
     """Max relative error, max absolute error, and the worst coordinate."""
     analytic = np.asarray(analytic, dtype=np.float64)
@@ -129,7 +129,7 @@ def compare_grads(
     if analytic.shape != numeric.shape:
         raise ValidationError(f"gradient shapes differ: {analytic.shape} vs {numeric.shape}")
     abs_err = np.abs(analytic - numeric)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
     rel = abs_err / denom
     flat_worst = int(rel.argmax())
     num_classes = analytic.shape[-1]
@@ -171,14 +171,13 @@ def random_instance(
     rng: np.random.Generator,
     binary: bool = False,
     grid: bool = False,
-    max_classes: int = 4,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A random (one-hot gt, interior prediction) pair, N <= 64, C <= 4.
 
     Every class appears at least once, so per-class masks are never
     degenerate (needed by the boundary-family losses).
     """
-    num_classes = 2 if binary else int(rng.integers(2, max_classes + 1))
+    num_classes = 2 if binary else int(rng.integers(2, 5))
     if grid:
         shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
     else:

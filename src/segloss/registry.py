@@ -10,6 +10,7 @@ is the branch a finite-difference probe has to stay on.
 
 from __future__ import annotations
 
+import inspect
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -38,21 +39,26 @@ class LossEntry:
     maps: bool = False  # takes the ground truth's distance maps from a BoundaryContext
 
 
-def _call(module, kernel: str):
-    """Maker for a loss computed as module.kernel(g, s, *params, cfg), its
-    parameters in the order of its defaults. Like every kernel here, it is
-    looked up on the module at each call."""
+def _call(module, kernel: str, **flags) -> LossEntry:
+    """The entry of a loss computed as module.kernel(g, s, *params, cfg),
+    in the family its module is named for. Its parameters, their order and
+    their defaults are those between s and cfg in the kernel's signature.
+    Like every kernel here, it is looked up on the module at each call."""
+    signature = inspect.signature(getattr(module, kernel)).parameters
+    names = list(signature)
+    defaults = {k: signature[k].default for k in names[2 : names.index("cfg")]}
 
     def make(g, cfg, p, ctx):
         args = tuple(p.values())
         return lambda s: getattr(module, kernel)(g, s, *args, cfg)
 
-    return make
+    return LossEntry(module.__name__.rpartition(".")[2], defaults, make, **flags)
 
 
 def _freeze_topk(g, s0, cfg, p, ctx):
-    keep = _distribution.topk_keep_set(g, s0, p["t"], cfg)
-    return lambda s: _distribution.topk(g, s, p["t"], cfg, keep=keep)
+    (t,) = p.values()
+    keep = _distribution.topk_keep_set(g, s0, t, cfg)
+    return lambda s: _distribution.topk(g, s, t, cfg, keep=keep)
 
 
 def _make_dpce(g, cfg, p, ctx):
@@ -90,41 +96,23 @@ def _freeze_hd(g, s0, cfg, p, ctx):
 
 
 REGISTRY: dict[str, LossEntry] = {
-    "ce": LossEntry("distribution", {}, _call(_distribution, "ce")),
-    "wce": LossEntry("distribution", {"weights": None}, _call(_distribution, "wce")),
-    "topk": LossEntry(
-        "distribution", {"t": 0.5}, _call(_distribution, "topk"), freeze=_freeze_topk
-    ),
-    "focal": LossEntry("distribution", {"gamma": 2.0}, _call(_distribution, "focal")),
+    "ce": _call(_distribution, "ce"),
+    "wce": _call(_distribution, "wce"),
+    "topk": _call(_distribution, "topk", freeze=_freeze_topk),
+    "focal": _call(_distribution, "focal"),
     "dpce": LossEntry("distribution", {}, _make_dpce, maps=True),
-    "ss": LossEntry("region", {"w": 0.5}, _call(_region, "ss_loss")),
-    "dice": LossEntry("region", {}, _call(_region, "dice_loss")),
-    "iou": LossEntry("region", {}, _call(_region, "iou_loss")),
-    "tversky": LossEntry("region", {"alpha": 0.3, "beta": 0.7}, _call(_region, "tversky_loss")),
-    "generalized_dice": LossEntry("region", {}, _call(_region, "generalized_dice_loss")),
-    "focal_tversky": LossEntry(
-        "region",
-        {"alpha": 0.3, "beta": 0.7, "gamma": 4.0 / 3.0},
-        _call(_region, "focal_tversky_loss"),
-    ),
-    "asymmetric": LossEntry("region", {"beta": 1.5}, _call(_region, "asymmetric_loss")),
-    "penalty_gd": LossEntry("region", {"k": 2.5}, _call(_region, "penalty_gd_loss")),
+    "ss": _call(_region, "ss_loss"),
+    "dice": _call(_region, "dice_loss"),
+    "iou": _call(_region, "iou_loss"),
+    "tversky": _call(_region, "tversky_loss"),
+    "generalized_dice": _call(_region, "generalized_dice_loss"),
+    "focal_tversky": _call(_region, "focal_tversky_loss"),
+    "asymmetric": _call(_region, "asymmetric_loss"),
+    "penalty_gd": _call(_region, "penalty_gd_loss"),
     "boundary": LossEntry("boundary", {}, _make_boundary, maps=True),
     "hd": LossEntry("boundary", {}, _make_hd, freeze=_freeze_hd, maps=True),
-    "combo": LossEntry(
-        "compound", {"alpha": 0.5, "beta": 0.5}, _call(_compound, "combo_loss"), binary_only=True
-    ),
-    "ell": LossEntry(
-        "compound",
-        {
-            "w_dice": 0.8,
-            "w_ce": 0.2,
-            "gamma_dice": 0.3,
-            "gamma_ce": 0.3,
-            "class_weights": None,
-        },
-        _call(_compound, "ell_loss"),
-    ),
+    "combo": _call(_compound, "combo_loss", binary_only=True),
+    "ell": _call(_compound, "ell_loss"),
 }
 
 

@@ -150,7 +150,7 @@ class TestEval:
         bad.write_text('{"params": {"dice": {"gamma": 2}}}')
         assert run_cli("eval", "--gt", gt, "--pred", pred, "--loss", "dice",
                        "--config", bad) == 2
-        assert "no parameter" in capsys.readouterr().err
+        assert f"error: {bad}: loss 'dice' takes no parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "params",
@@ -177,7 +177,17 @@ class TestEval:
         args = ["--pred", pred] if command == "eval" else ["--steps", 1, "--lr", 1.0]
         assert run_cli(command, "--gt", gt, "--loss", name, "--config", bad, *args) == 2
         err = capsys.readouterr().err
-        assert f"loss {name!r} parameter" in err and "must be" in err
+        assert f"error: {bad}: loss {name!r} parameter" in err and "must be" in err
+
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_unknown_loss_in_params_names_the_config_file(self, fixture_files, tmp_path,
+                                                          capsys, command):
+        gt, pred, _ = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"params": {"focall": {}}}')
+        args = ["--pred", pred] if command == "eval" else ["--steps", 1, "--lr", 1.0]
+        assert run_cli(command, "--gt", gt, "--loss", "focal", "--config", bad, *args) == 2
+        assert f"error: {bad}: unknown loss 'focall'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",

@@ -79,7 +79,7 @@ class TestWeightedCrossEntropy:
 class TestTopK:
     def test_reference_value(self, f1):
         g, s = f1
-        assert topk(g, s, 0.85).value == 0.26765401552238394
+        assert topk(g, s, t=0.85).value == 0.26765401552238394
 
     def test_keeps_only_hard_pixels(self, f1):
         g, s = f1
