@@ -1,21 +1,35 @@
 """Exact Euclidean distance transforms on binary masks.
 
-``edt`` is a from-scratch separable transform in whole-array numpy
-(Felzenszwalb & Huttenlocher 2012, with the binary first phase of
-Meijster et al. 2000; anisotropic spacing supported). On axis 0, forward
-and backward scans of the nearest source index give the squared distance
-along that axis directly. Every later axis takes the minimum over p of
-(pos[q] - pos[p])^2 + d2[.., p] for all rows at once, in tiles of up to 64
-query positions. A block of rows only considers the candidates within
-reach of a tile, a distance bounded by the block's own entries there, and
-every candidate it skips would lose, so the result is the same float as
-the full minimum. An axis pass of N values costs O(N * min(n, 64 + 2w))
-on an axis of length n, where w is the reach in pixels, about the
-distance from a tile to the sources its block needs. The buffer and the
-gap table each hold at most 2^18 float64 values (2 MiB), whatever the
-grid size. ``edt_bruteforce`` is the independent O(N * |sources|)
-reference used to cross-check it; the two are deliberately kept as
-separate code paths.
+``edt`` is a from-scratch separable transform (Felzenszwalb & Huttenlocher
+2012, with the binary first phase of Meijster et al. 2000; anisotropic
+spacing supported). On axis 0, forward and backward scans of the nearest
+source index give the squared distance along that axis directly. Every
+later axis takes the minimum over p of (pos[q] - pos[p])^2 + d2[.., p],
+with pos[p] = p * step. One of two passes computes it, and both give the
+same floats as the full minimum over every p:
+
+- The compiled pass (``_minplus.c``, called through ctypes) scans the
+  candidates of each query q outward from q and stops a side once the
+  squared gap alone exceeds the best value so far, so a query costs
+  O(distance to its winning candidate) steps. A row with no finite entry
+  is filled with inf up front. It runs whenever the library loaded.
+- The numpy pass (``_min_plus_axis``) takes all rows at once, in tiles of
+  up to 64 query positions. A block of rows only considers the candidates
+  within reach of a tile, a distance bounded by the block's own entries
+  there, and every candidate it skips would lose. An axis pass of N
+  values costs O(N * min(n, 64 + 2w)) on an axis of length n, where w is
+  the reach in pixels, about the distance from a tile to the sources its
+  block needs. The buffer and the gap table each hold at most 2^18
+  float64 values (2 MiB), whatever the grid size. It runs when the
+  library could not be built or loaded, and is the tested reference.
+
+Importing this module builds the library once per source and compiler
+flags, with ``cc -O2 -ffp-contract=off -shared -fPIC``, into
+``segloss/__pycache__/_minplus-<key>.so``; later imports only load it. If
+there is no ``cc``, the directory is read-only or the build fails, the
+numpy pass runs instead. ``edt_bruteforce`` is the independent
+O(N * |sources|) reference used to cross-check both; it is deliberately
+kept as a separate code path.
 
 Distances are measured between pixel centers. A degenerate request
 (no source pixels) yields the grid's sentinel distance everywhere: the
@@ -25,7 +39,12 @@ pixel-to-pixel distance on the grid.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+from pathlib import Path
 
 import numpy as np
 
@@ -209,6 +228,61 @@ def _reach(rows: np.ndarray, pos: np.ndarray, tiles: np.ndarray) -> np.ndarray:
     return np.sqrt(bound)
 
 
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_min_plus_rows(source: Path, cache: Path):
+    """The compiled pass of ``source`` as a ctypes function, or None.
+
+    The library is cached under ``cache`` by a hash of the source, the
+    flags and the machine, so a checkout compiles it once. The compiler
+    writes a file of its own that then replaces the cache entry in one
+    step, so a concurrent import never loads half a library.
+    """
+    try:
+        code = source.read_bytes()
+        key = hashlib.sha256(code + repr(_CFLAGS).encode() + platform.machine().encode())
+        lib = cache / f"_minplus-{key.hexdigest()[:16]}.so"
+        if not lib.exists():
+            import subprocess
+
+            cache.mkdir(exist_ok=True)
+            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run(["cc", *_CFLAGS, "-o", str(tmp), str(source)],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, lib)
+            except subprocess.SubprocessError:  # a failed or hung compile
+                return None
+            finally:
+                tmp.unlink(missing_ok=True)
+        fn = ctypes.CDLL(str(lib)).min_plus_rows
+    except OSError:  # no source or no cc, an unwritable cache, a bad library
+        return None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                   ctypes.c_double]
+    fn.restype = None
+    return fn
+
+
+# Built at import, not at the first call, so the one-time compile is part of
+# start-up and no transform pays for it.
+_min_plus_rows = _load_min_plus_rows(Path(__file__).with_name("_minplus.c"),
+                                     Path(__file__).with_name("__pycache__"))
+
+
+def _min_plus(d2: np.ndarray, axis: int, step: float) -> np.ndarray:
+    """The later-axis pass: the compiled one if it loaded, else the numpy one."""
+    if _min_plus_rows is None:
+        return _min_plus_axis(d2, axis, step)
+    moved = d2.swapaxes(axis, -1)
+    n = moved.shape[-1]
+    rows = np.ascontiguousarray(moved, dtype=np.float64).reshape(-1, n)
+    out = np.empty_like(rows)
+    _min_plus_rows(rows.ctypes.data, out.ctypes.data, rows.shape[0], n, step)
+    return out.reshape(moved.shape).swapaxes(axis, -1)
+
+
 def edt(source: np.ndarray, spacing=None) -> np.ndarray:
     """Exact Euclidean distance from every pixel to the nearest source pixel.
 
@@ -220,7 +294,7 @@ def edt(source: np.ndarray, spacing=None) -> np.ndarray:
         return np.full(src.shape, sentinel_value(src.shape, sp))
     d2 = _scan_first_axis(src, sp[0])
     for ax in range(1, src.ndim):
-        d2 = _min_plus_axis(d2, ax, sp[ax])
+        d2 = _min_plus(d2, ax, sp[ax])
     return np.sqrt(d2)
 
 

@@ -1,3 +1,7 @@
+import shutil
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,25 @@ from segloss import (
     sentinel_value,
     unsigned_boundary_distance,
 )
-from segloss.distance import _min_plus_axis, as_spacing
+from segloss import distance
+from segloss.distance import _load_min_plus_rows, _min_plus, as_spacing
 
 masks_1d = hnp.arrays(bool, st.integers(1, 24))
 masks_2d = hnp.arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10)))
+
+
+@pytest.fixture(scope="class", params=["compiled", "numpy"])
+def min_plus_pass(request):
+    """Runs a class's tests on the compiled later-axis pass, then on the
+    numpy one by unloading the compiled pass."""
+    if request.param == "numpy":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_min_plus_rows", None)
+            yield request.param
+    else:
+        if distance._min_plus_rows is None:
+            pytest.skip("the compiled pass did not load")
+        yield request.param
 
 
 class TestEdtExamples:
@@ -70,6 +89,7 @@ class TestEdtAgainstBruteForce:
             )
 
 
+@pytest.mark.usefixtures("min_plus_pass")
 class TestEdtBlockEdges:
     # Shapes that reach the edges of the tiled minimum: tiles of 64 query
     # positions with a ragged last tile (a 100-long axis: 64 + 36; a
@@ -89,6 +109,7 @@ class TestEdtBlockEdges:
         np.testing.assert_allclose(edt(m, sp), edt_bruteforce(m, sp), atol=1e-9)
 
 
+@pytest.mark.usefixtures("min_plus_pass")
 class TestEdtAgainstScipy:
     @pytest.mark.parametrize("shape", [(256, 256), (64, 64, 64)])
     @pytest.mark.parametrize("anisotropic", [False, True])
@@ -111,28 +132,35 @@ def _min_plus_reference(d2, axis, step):
 
 @st.composite
 def min_plus_inputs(draw):
-    """Non-negative rows with inf entries, all-inf rows, axes of one or
-    several tiles (ragged last tile), more rows than one block holds, and
-    anisotropic steps."""
-    rows = draw(st.integers(1, 40))
+    """Non-negative rows with inf entries, all-inf rows, rows whose one
+    finite entry is at either end, axes of one or several tiles (ragged
+    last tile), more rows than one block holds, and anisotropic steps. The
+    pass runs along axis 1 of a 2-D array or of a 3-D one with empty slabs."""
+    depth = draw(st.sampled_from([0, 1, 3]))  # 0: a 2-D array
+    rows = draw(st.integers(1, 40 // max(depth, 1)))
     n = draw(st.integers(1, 260))
     density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.5, 1.0]))
     step = draw(st.sampled_from([1.0, 0.37, 2.9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vals = rng.uniform(0.0, n * step, size=(rows, n)) ** 2
-    d2 = np.where(rng.random((rows, n)) < density, vals, np.inf)
+    shape = (rows, n, depth) if depth else (rows, n)
+    vals = rng.uniform(0.0, n * step, size=shape) ** 2
+    d2 = np.where(rng.random(shape) < density, vals, np.inf)
     d2[rng.random(rows) < 0.2] = np.inf
-    if draw(st.booleans()):  # the pass runs along a middle axis of a 3D array
-        return d2.reshape(rows, 1, n).transpose(0, 2, 1).copy(), 1, step
+    lone = rng.random(rows) < 0.2
+    d2[lone] = np.inf
+    d2[lone, draw(st.sampled_from([0, -1]))] = vals[lone, 0]
+    if depth:
+        d2[:, :, rng.random(depth) < 0.3] = np.inf
     return d2, 1, step
 
 
+@pytest.mark.usefixtures("min_plus_pass")
 class TestMinPlusAxis:
     @given(min_plus_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_whole_table_bit_for_bit(self, args):
         d2, axis, step = args
-        got = _min_plus_axis(d2, axis, step)
+        got = _min_plus(d2, axis, step)
         assert np.array_equal(got, _min_plus_reference(d2, axis, step))
 
     def test_keeps_a_candidate_just_inside_the_reach(self):
@@ -142,11 +170,12 @@ class TestMinPlusAxis:
         d2 = np.full((1, 200), np.inf)
         d2[0, 62] = 0.0
         d2[0, 64:128] = 5.0
-        got = _min_plus_axis(d2, 1, 1.0)
+        got = _min_plus(d2, 1, 1.0)
         assert got[0, 64] == 4.0
         assert np.array_equal(got, _min_plus_reference(d2, 1, 1.0))
 
 
+@pytest.mark.usefixtures("min_plus_pass")
 class TestEdtLongThinAxes:
     # A long later axis with few rows, so one row per block. Sparse sources
     # leave whole tiles without a finite entry; on the 20000-long axis (six
@@ -162,6 +191,45 @@ class TestEdtLongThinAxes:
         sp = (0.7, 1.9) if anisotropic else None
         expected = ndimage.distance_transform_edt(~m, sampling=sp)
         np.testing.assert_allclose(edt(m, sp), expected, atol=1e-9)
+
+
+class TestCompiledPassBuild:
+    SOURCE = Path(distance.__file__).with_name("_minplus.c")
+
+    def test_builds_once_then_only_loads(self, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        assert _load_min_plus_rows(self.SOURCE, tmp_path) is not None
+        built = list(tmp_path.iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a cached library was compiled again")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        assert _load_min_plus_rows(self.SOURCE, tmp_path) is not None
+        assert list(tmp_path.iterdir()) == built
+
+    def test_no_compiler_or_a_failed_build_falls_back_to_numpy(self, tmp_path, monkeypatch):
+        broken = tmp_path / "_minplus.c"
+        broken.write_text("this is not C\n")
+        assert _load_min_plus_rows(broken, tmp_path / "cache") is None
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
+        assert _load_min_plus_rows(self.SOURCE, tmp_path / "cache") is None
+        assert not any(p.suffix == ".so" for p in (tmp_path / "cache").iterdir())
+
+        m = np.random.default_rng(4).random((40, 70)) < 0.05
+        sp = (0.7, 1.9)
+        expected = edt(m, sp)
+        monkeypatch.setattr(distance, "_min_plus_rows", None)
+        assert np.array_equal(edt(m, sp), expected)
+
+    def test_compiled_pass_is_in_use_where_cc_exists(self):
+        # Otherwise every test parametrized over both passes would run the
+        # numpy pass twice without notice.
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        assert distance._min_plus_rows is not None
 
 
 class TestAsSpacing:
